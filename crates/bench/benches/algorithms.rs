@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gvex_baselines::{GStarX, GcfExplainer, GnnExplainer, SubgraphX};
-use gvex_core::{ApproxGvex, Configuration, Explainer, StreamGvex};
+use gvex_core::{Configuration, Explainer, GreedyStrategy, GvexExplainer, StreamStrategy};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex_graph::GraphDatabase;
@@ -33,8 +33,8 @@ fn bench_explainers(c: &mut Criterion) {
     let mut group = c.benchmark_group("explain_one_graph");
     group.sample_size(10);
     let methods: Vec<Box<dyn Explainer>> = vec![
-        Box::new(ApproxGvex::new(cfg.clone())),
-        Box::new(StreamGvex::new(cfg)),
+        Box::new(GvexExplainer::new(GreedyStrategy, cfg.clone())),
+        Box::new(GvexExplainer::new(StreamStrategy, cfg)),
         Box::new(GnnExplainer { epochs: 30, ..Default::default() }),
         Box::new(SubgraphX { iterations: 15, shapley_samples: 5, ..Default::default() }),
         Box::new(GStarX { samples_per_node: 8, ..Default::default() }),

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gvex_core::psum::psum;
 use gvex_core::stream::GraphStream;
-use gvex_core::Configuration;
+use gvex_core::{Configuration, ExplainSession};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex_graph::{Graph, GraphDatabase};
@@ -120,7 +120,9 @@ fn bench_stream_arrival(c: &mut Criterion) {
     let cfg = Configuration::paper_mut(8);
     c.bench_function("stream_full_graph", |b| {
         b.iter(|| {
-            let mut s = GraphStream::new(&model, g, 0, cfg.clone());
+            // a fresh session per run: the forward pass stays in the timing
+            let sess = ExplainSession::new(&model, cfg.clone()).expect("valid configuration");
+            let mut s = GraphStream::with_session(&sess, g, 0);
             for v in 0..g.num_nodes() {
                 s.arrive(v);
             }

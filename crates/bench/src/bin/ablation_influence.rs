@@ -6,7 +6,7 @@
 //! justified if fidelity matches the exact mode at a fraction of its cost.
 
 use gvex_bench::harness::{eval_method, prepare, timed, write_json};
-use gvex_core::{ApproxGvex, Configuration};
+use gvex_core::{Configuration, GreedyStrategy, GvexExplainer};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_influence::{InfluenceAnalysis, InfluenceMode};
 use rand::SeedableRng;
@@ -40,7 +40,12 @@ fn main() {
     );
     for (name, mode) in modes {
         let cfg = Configuration::paper_mut(10).with_influence(mode);
-        let cell = eval_method(&prep, &ApproxGvex::new(cfg), 10, Duration::from_secs(300));
+        let cell = eval_method(
+            &prep,
+            &GvexExplainer::new(GreedyStrategy, cfg),
+            10,
+            Duration::from_secs(300),
+        );
 
         // isolate the per-graph analysis cost
         let g = prep.db.graph(prep.split.test[0]);

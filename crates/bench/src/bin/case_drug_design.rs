@@ -6,7 +6,7 @@
 //! subgraph while GNNExplainer needs 14 atoms and the rest miss it.
 
 use gvex_bench::harness::{format_pattern, gvex_config, prepare, roster, write_json};
-use gvex_core::ApproxGvex;
+use gvex_core::{ExplainSession, GreedyStrategy, SelectionStrategy};
 use gvex_datasets::molecules::no2_pattern;
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_iso::{matches, MatchOptions};
@@ -86,12 +86,12 @@ fn main() {
     }
 
     // GVEX's two-tier view: show the mined patterns for the mutagen class
-    let ag = ApproxGvex::new(gvex_config(15));
+    let sess = ExplainSession::new(&prep.model, gvex_config(15)).expect("valid configuration");
     let assigned: Vec<usize> = prep.db.graphs().iter().map(|g| prep.model.predict(g)).collect();
     let groups = prep.db.label_groups(&assigned);
     let mutagen_test: Vec<usize> =
         prep.split.test.iter().copied().filter(|gi| groups.group(1).contains(gi)).collect();
-    let view = ag.explain_label_group(&prep.model, &prep.db, 1, &mutagen_test);
+    let view = GreedyStrategy.explain_label_group(&sess, &prep.db, 1, &mutagen_test);
     println!("\nGVEX explanation view for label 'mutagen' ({} subgraphs):", view.subgraphs.len());
     let mut pattern_strs = Vec::new();
     for (i, p) in view.patterns.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! fold motifs.
 
 use gvex_bench::harness::{format_pattern, gvex_config, prepare, write_json};
-use gvex_core::ApproxGvex;
+use gvex_core::{ExplainSession, GreedyStrategy};
 use gvex_datasets::proteins::class_motif;
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_iso::{matches, MatchOptions};
@@ -22,12 +22,12 @@ struct ClassView {
 fn main() {
     let prep = prepare(DatasetKind::Enzymes, Scale::Bench, 42);
     eprintln!("classifier accuracy {:.3}", prep.accuracy);
-    let ag = ApproxGvex::new(gvex_config(10));
+    let sess = ExplainSession::new(&prep.model, gvex_config(10)).expect("valid configuration");
     let opts = MatchOptions { induced: false, max_embeddings: 1000 };
 
     let mut out = Vec::new();
     println!("\nCase study 3 — ENZ explanation views for classes EC1..EC3\n");
-    let set = ag.explain(&prep.model, &prep.db, &[0, 1, 2]);
+    let set = sess.explain(&GreedyStrategy, &prep.db, &[0, 1, 2]);
     for view in &set.views {
         let motif = class_motif(view.label);
         // the planted motif is "recovered" when it matches inside some

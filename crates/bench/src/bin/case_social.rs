@@ -7,7 +7,7 @@
 //! fragments vs. both).
 
 use gvex_bench::harness::{gvex_config, prepare, write_json};
-use gvex_core::{ApproxGvex, Configuration, CoverageBound};
+use gvex_core::{Configuration, CoverageBound, ExplainSession, GreedyStrategy};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_graph::Graph;
 use serde::Serialize;
@@ -41,8 +41,8 @@ fn main() {
         // interest (the configurable knob the paper demonstrates)
         let cfg: Configuration =
             gvex_config(12).with_bounds(vec![CoverageBound::new(0, 12), CoverageBound::new(0, 12)]);
-        let ag = ApproxGvex::new(cfg);
-        let set = ag.explain(&prep.model, &prep.db, &labels);
+        let sess = ExplainSession::new(&prep.model, cfg).expect("valid configuration");
+        let set = sess.explain(&GreedyStrategy, &prep.db, &labels);
         println!("\nScenario: {name}");
         let mut stats = Vec::new();
         for view in &set.views {

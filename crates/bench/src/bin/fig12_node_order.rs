@@ -7,7 +7,7 @@
 //! always-swap and never-swap.
 
 use gvex_bench::harness::{gvex_config, prepare, timed, write_json};
-use gvex_core::{Configuration, StreamGvex};
+use gvex_core::{Configuration, ExplainSession, GreedyStrategy, SelectionStrategy, StreamStrategy};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_graph::Graph;
 use gvex_iso::are_isomorphic;
@@ -44,7 +44,6 @@ fn run_order(
     cfg: &Configuration,
     seed: u64,
 ) -> (f64, Vec<Graph>, f64) {
-    let sg = StreamGvex::new(cfg.clone());
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut patterns: Vec<Graph> = Vec::new();
     let mut total_expl = 0.0;
@@ -55,7 +54,9 @@ fn run_order(
             if seed != 0 {
                 order.shuffle(&mut rng);
             }
-            if let Some((sub, local)) = sg.explain_graph_stream(&prep.model, g, gi, Some(&order)) {
+            // one fresh session per graph: no forward pass is memoized
+            let sess = ExplainSession::new(&prep.model, cfg.clone()).expect("valid configuration");
+            if let Some((sub, local)) = StreamStrategy.stream_graph(&sess, g, gi, Some(&order)) {
                 total_expl += sub.explainability;
                 for p in local {
                     if !patterns.iter().any(|q| are_isomorphic(q, &p)) {
@@ -93,10 +94,10 @@ fn main() {
     // is invasive, so we compare the paper's rule at three stream orders
     // against a greedy pick on the *full* (batch) analysis as the upper
     // reference.
-    let batch = gvex_core::ApproxGvex::new(cfg.clone());
+    let batch = ExplainSession::new(&prep.model, cfg.clone()).expect("valid configuration");
     let mut batch_expl = 0.0;
     for &gi in &prep.split.test {
-        if let Some(sub) = batch.explain_graph(&prep.model, prep.db.graph(gi), gi) {
+        if let Some(sub) = GreedyStrategy.explain_graph(&batch, prep.db.graph(gi), gi) {
             batch_expl += sub.explainability;
         }
     }

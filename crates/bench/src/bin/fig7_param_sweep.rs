@@ -4,7 +4,7 @@
 //! `γ = 0.5`; this binary regenerates the sweep those numbers came from.
 
 use gvex_bench::harness::{eval_method, prepare, write_json};
-use gvex_core::{ApproxGvex, Configuration};
+use gvex_core::{Configuration, GreedyStrategy, GvexExplainer};
 use gvex_datasets::{DatasetKind, Scale};
 use serde::Serialize;
 use std::time::Duration;
@@ -30,7 +30,7 @@ fn main() {
         for &r in &[0.1_f32, 0.25, 0.5] {
             let mut cfg = Configuration::uniform(theta, r, 0.5, 0, 10);
             cfg.seed = 42;
-            let cell = eval_method(&prep, &ApproxGvex::new(cfg), 10, budget);
+            let cell = eval_method(&prep, &GvexExplainer::new(GreedyStrategy, cfg), 10, budget);
             println!(
                 "{theta:>6.2} {r:>6.2} {:>8.3} {:>8.3}",
                 cell.quality.fidelity_plus, cell.quality.fidelity_minus
@@ -50,7 +50,7 @@ fn main() {
     for &gamma in &[0.0_f32, 0.25, 0.5, 0.75, 1.0] {
         let mut cfg = Configuration::uniform(0.08, 0.25, gamma, 0, 10);
         cfg.seed = 42;
-        let cell = eval_method(&prep, &ApproxGvex::new(cfg), 10, budget);
+        let cell = eval_method(&prep, &GvexExplainer::new(GreedyStrategy, cfg), 10, budget);
         println!(
             "{gamma:>6.2} {:>8.3} {:>8.3}",
             cell.quality.fidelity_plus, cell.quality.fidelity_minus

@@ -9,7 +9,7 @@
 //!   including the ablation vs. a singleton-only cover.
 
 use gvex_bench::harness::{fidelity_grid, gvex_config, prepare, write_json};
-use gvex_core::{ApproxGvex, StreamGvex};
+use gvex_core::{Configuration, ExplainSession, GreedyStrategy, StreamStrategy};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_metrics::{mean_compression, mean_edge_loss};
 use gvex_mining::MiningConfig;
@@ -58,8 +58,13 @@ fn main() {
     for kind in datasets {
         let prep = prepare(kind, Scale::Bench, 42);
         let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
-        let ag_views = ApproxGvex::new(gvex_config(10)).explain(&prep.model, &prep.db, &labels);
-        let sg_views = StreamGvex::new(gvex_config(10)).explain(&prep.model, &prep.db, &labels);
+        let session = |cfg: Configuration| {
+            ExplainSession::new(&prep.model, cfg).expect("valid configuration")
+        };
+        // one session serves both algorithms: the forward traces are shared
+        let sess = session(gvex_config(10));
+        let ag_views = sess.explain(&GreedyStrategy, &prep.db, &labels);
+        let sg_views = sess.explain(&StreamStrategy, &prep.db, &labels);
         let cag = mean_compression(&ag_views.views);
         let csg = mean_compression(&sg_views.views);
         println!("{:<6} AG {cag:.3}  SG {csg:.3}", kind.short_name());
@@ -71,13 +76,12 @@ fn main() {
             println!("\nFigure 8(c/d) — Edge loss vs u_l on {}:", kind.short_name());
             println!("{:>6} {:>10} {:>16}", "u_l", "greedy", "singleton-only");
             for &u in &uls {
-                let views = ApproxGvex::new(gvex_config(u)).explain(&prep.model, &prep.db, &labels);
+                let views = session(gvex_config(u)).explain(&GreedyStrategy, &prep.db, &labels);
                 let greedy = mean_edge_loss(&views.views);
                 // ablation: cap patterns to single nodes — every edge is lost
                 let mut single_cfg = gvex_config(u);
                 single_cfg.mining = MiningConfig { max_pattern_nodes: 1, ..Default::default() };
-                let single_views =
-                    ApproxGvex::new(single_cfg).explain(&prep.model, &prep.db, &labels);
+                let single_views = session(single_cfg).explain(&GreedyStrategy, &prep.db, &labels);
                 let single = mean_edge_loss(&single_views.views);
                 println!("{u:>6} {greedy:>10.4} {single:>16.4}");
                 out.edge_loss.push((kind.short_name().into(), u, greedy, single));

@@ -11,7 +11,7 @@
 //!   (paper: linear growth in batch size).
 
 use gvex_bench::harness::{fidelity_grid, gvex_config, prepare, roster, timed, write_json};
-use gvex_core::{explain_database, StreamGvex};
+use gvex_core::{ExplainSession, GreedyStrategy, StreamStrategy};
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_gnn::GcnModel;
 use gvex_graph::GraphDatabase;
@@ -108,11 +108,11 @@ fn main() {
         let db = gvex_datasets::molecules::PcqParams { num_graphs: n }.generate(42);
         let prep = prepare_from(DatasetKind::Pcqm4m, db);
         let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
-        let (_, ag_secs) = timed(|| {
-            gvex_core::ApproxGvex::new(gvex_config(10)).explain(&prep.model, &prep.db, &labels)
-        });
-        let (_, sg_secs) =
-            timed(|| StreamGvex::new(gvex_config(10)).explain(&prep.model, &prep.db, &labels));
+        // a fresh session per timed run, so each one pays the full cold work
+        let fresh =
+            || ExplainSession::new(&prep.model, gvex_config(10)).expect("valid configuration");
+        let (_, ag_secs) = timed(|| fresh().explain(&GreedyStrategy, &prep.db, &labels));
+        let (_, sg_secs) = timed(|| fresh().explain(&StreamStrategy, &prep.db, &labels));
         println!("{n:>8} {ag_secs:>10.2} {sg_secs:>10.2}");
         out.d_scaling.push((n, ag_secs, sg_secs));
     }
@@ -141,7 +141,9 @@ fn main() {
         let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
         for &threads in &[1usize, 2, 4, 8] {
             let (_, secs) = timed(|| {
-                explain_database(&prep.model, &prep.db, &labels, &gvex_config(10), threads)
+                ExplainSession::new(&prep.model, gvex_config(10))
+                    .expect("valid configuration")
+                    .explain_parallel(&GreedyStrategy, &prep.db, &labels, threads)
             });
             println!("{:<6} {threads:>4} {secs:>10.2}", kind.short_name());
             out.e_parallel.push((kind.short_name().into(), threads, secs));
@@ -155,14 +157,16 @@ fn main() {
     println!("\nFigure 9(f) — StreamGVEX runtime vs batch fraction (MUT)\n");
     println!("{:>8} {:>10}", "%stream", "secs");
     let prep = prepare(DatasetKind::Mutagenicity, Scale::Bench, 42);
-    let sg = StreamGvex::new(gvex_config(10));
     for &frac in &[0.2_f64, 0.4, 0.6, 0.8, 1.0] {
         let (_, secs) = timed(|| {
             for &gi in &prep.split.test {
                 let g = prep.db.graph(gi);
                 let upto = ((g.num_nodes() as f64) * frac).ceil() as usize;
                 let order: Vec<usize> = (0..upto.min(g.num_nodes())).collect();
-                let _ = sg.explain_graph_stream(&prep.model, g, gi, Some(&order));
+                // one fresh session per graph: no forward pass is memoized
+                let sess =
+                    ExplainSession::new(&prep.model, gvex_config(10)).expect("valid configuration");
+                let _ = StreamStrategy.stream_graph(&sess, g, gi, Some(&order));
             }
         });
         println!("{:>7.0}% {secs:>10.3}", frac * 100.0);

@@ -3,8 +3,8 @@
 
 use gvex_baselines::{GStarX, GcfExplainer, GnnExplainer, SubgraphX};
 use gvex_core::{
-    explain_database, ApproxGvex, Configuration, Explainer, ExplanationViewSet, NodeExplanation,
-    StreamGvex,
+    Configuration, ExplainSession, Explainer, ExplanationViewSet, GreedyStrategy, GvexExplainer,
+    NodeExplanation, StreamStrategy,
 };
 use gvex_datasets::{DatasetKind, Scale};
 use gvex_gnn::{
@@ -75,7 +75,8 @@ pub fn prepare_with_views(
 ) -> (Prepared, ExplanationViewSet) {
     let prep = prepare(kind, scale, seed);
     let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
-    let views = explain_database(&prep.model, &prep.db, &labels, &gvex_config(upper), 1);
+    let sess = ExplainSession::new(&prep.model, gvex_config(upper)).expect("valid configuration");
+    let views = sess.explain_parallel(&GreedyStrategy, &prep.db, &labels, 1);
     (prep, views)
 }
 
@@ -132,8 +133,8 @@ pub fn gvex_config(upper: usize) -> Configuration {
 /// each at its reference implementation's default search budget.
 pub fn roster(upper: usize) -> Vec<Box<dyn Explainer>> {
     vec![
-        Box::new(ApproxGvex::new(gvex_config(upper))),
-        Box::new(StreamGvex::new(gvex_config(upper))),
+        Box::new(GvexExplainer::new(GreedyStrategy, gvex_config(upper))),
+        Box::new(GvexExplainer::new(StreamStrategy, gvex_config(upper))),
         Box::new(GnnExplainer::default()),
         Box::new(SubgraphX::default()),
         Box::new(GStarX::default()),

@@ -12,9 +12,9 @@
 //! [`SelectionStrategy`] over a shared [`ExplainSession`]: the forward
 //! trace and influence analysis come from the session's memos, and every
 //! candidate probe runs on a zero-copy [`gvex_graph::GraphRef`] view
-//! instead of an allocated subgraph clone. [`ApproxGvex`] remains as the
-//! configuration-carrying entry point; its methods are thin wrappers that
-//! build a one-shot session.
+//! instead of an allocated subgraph clone. Run it through the session
+//! drivers ([`ExplainSession::explain`] and its parallel/sharded
+//! siblings), or per graph with [`SelectionStrategy::explain_graph`].
 //!
 //! One deliberate refinement over the paper's pseudo-code: Procedure 2
 //! (`VpExtend`) rejects a candidate unless the extended subgraph is already
@@ -28,11 +28,9 @@
 //! the full check, exactly as in the paper's Example 4.2. Both property
 //! flags are reported on the final subgraph.
 
-use crate::config::Configuration;
 use crate::session::{ExplainSession, SelectionStrategy};
-use crate::view::{ExplanationSubgraph, ExplanationView, ExplanationViewSet};
-use gvex_gnn::GcnModel;
-use gvex_graph::{Graph, GraphDatabase, NodeId};
+use crate::view::ExplanationSubgraph;
+use gvex_graph::{Graph, NodeId};
 
 /// Algorithm 1's greedy node selection as a session strategy.
 #[derive(Clone, Copy, Debug, Default)]
@@ -40,7 +38,7 @@ pub struct GreedyStrategy;
 
 impl SelectionStrategy for GreedyStrategy {
     fn name(&self) -> &'static str {
-        "approx-greedy"
+        "ApproxGVEX"
     }
 
     fn explain_graph(
@@ -227,68 +225,6 @@ impl SelectionStrategy for GreedyStrategy {
     }
 }
 
-/// The ApproxGVEX explainer (§4): a configuration plus the
-/// [`GreedyStrategy`]. Each call builds a one-shot [`ExplainSession`];
-/// construct a session directly to share caches across calls and
-/// algorithms.
-#[derive(Clone, Debug)]
-pub struct ApproxGvex {
-    cfg: Configuration,
-}
-
-impl ApproxGvex {
-    /// Creates the explainer with a configuration.
-    pub fn new(cfg: Configuration) -> Self {
-        Self { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &Configuration {
-        &self.cfg
-    }
-
-    fn session<'m>(&self, model: &'m GcnModel) -> ExplainSession<'m> {
-        ExplainSession::new(model, self.cfg.clone()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Algorithm 1 for a single graph: selects `V_S`, induces the
-    /// explanation subgraph, and reports the §2.2 property flags.
-    ///
-    /// Returns `None` when the graph is empty or no selection satisfying
-    /// the lower coverage bound exists (the paper's `return ∅`).
-    pub fn explain_graph(
-        &self,
-        model: &GcnModel,
-        g: &Graph,
-        graph_index: usize,
-    ) -> Option<ExplanationSubgraph> {
-        GreedyStrategy.explain_graph(&self.session(model), g, graph_index)
-    }
-
-    /// Builds one explanation view for label `l` over the given label group
-    /// (graph indices): explain each graph, then summarize with `Psum`.
-    pub fn explain_label_group(
-        &self,
-        model: &GcnModel,
-        db: &GraphDatabase,
-        label: usize,
-        group: &[usize],
-    ) -> ExplanationView {
-        GreedyStrategy.explain_label_group(&self.session(model), db, label, group)
-    }
-
-    /// Solves the full EVG instance: one view per label of interest
-    /// (Problem 1). Labels are the classifier's *assigned* labels on `db`.
-    pub fn explain(
-        &self,
-        model: &GcnModel,
-        db: &GraphDatabase,
-        labels_of_interest: &[usize],
-    ) -> ExplanationViewSet {
-        self.session(model).explain(&GreedyStrategy, db, labels_of_interest)
-    }
-}
-
 fn is_adjacent_to(g: &Graph, v: NodeId, selected: &[bool]) -> bool {
     g.neighbors(v).iter().chain(g.in_neighbors(v)).any(|&(u, _)| selected[u])
 }
@@ -296,7 +232,8 @@ fn is_adjacent_to(g: &Graph, v: NodeId, selected: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gvex_gnn::{trainer, GcnConfig};
+    use crate::config::Configuration;
+    use gvex_gnn::{trainer, GcnConfig, GcnModel};
     use gvex_graph::GraphDatabase;
 
     /// A tiny planted-motif database: class 1 graphs contain a type-1/type-2
@@ -349,13 +286,23 @@ mod tests {
         model
     }
 
+    /// Algorithm 1 on one graph through a one-shot session.
+    fn explain_one(
+        model: &GcnModel,
+        cfg: Configuration,
+        g: &Graph,
+        gi: usize,
+    ) -> Option<ExplanationSubgraph> {
+        let sess = ExplainSession::new(model, cfg).expect("valid configuration");
+        GreedyStrategy.explain_graph(&sess, g, gi)
+    }
+
     #[test]
     fn explain_graph_respects_upper_bound() {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let ag = ApproxGvex::new(cfg);
-        let sub = ag.explain_graph(&model, db.graph(1), 1).expect("explanation exists");
+        let sub = explain_one(&model, cfg, db.graph(1), 1).expect("explanation exists");
         assert!(sub.len() <= 3);
         assert!(!sub.is_empty());
     }
@@ -365,9 +312,8 @@ mod tests {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-        let ag = ApproxGvex::new(cfg);
         // explain a motif graph: subgraph prediction should match
-        let sub = ag.explain_graph(&model, db.graph(1), 1).unwrap();
+        let sub = explain_one(&model, cfg, db.graph(1), 1).unwrap();
         assert!(sub.consistent, "greedy should maintain consistency");
     }
 
@@ -376,9 +322,8 @@ mod tests {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let ag = ApproxGvex::new(cfg);
         let g = db.graph(1); // motif graph: nodes 4 and 5 are the motif
-        let sub = ag.explain_graph(&model, g, 1).unwrap();
+        let sub = explain_one(&model, cfg, g, 1).unwrap();
         assert!(
             sub.nodes.iter().any(|&v| g.node_type(v) != 0),
             "expected at least one motif node in {:?}",
@@ -392,8 +337,7 @@ mod tests {
         let model = trained_model(&db);
         // lower bound larger than the graph: impossible
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 100, 200);
-        let ag = ApproxGvex::new(cfg);
-        assert!(ag.explain_graph(&model, db.graph(0), 0).is_none());
+        assert!(explain_one(&model, cfg, db.graph(0), 0).is_none());
     }
 
     #[test]
@@ -401,9 +345,8 @@ mod tests {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 5);
-        let ag = ApproxGvex::new(cfg);
         let empty = Graph::builder(false).build();
-        assert!(ag.explain_graph(&model, &empty, 0).is_none());
+        assert!(explain_one(&model, cfg, &empty, 0).is_none());
     }
 
     #[test]
@@ -411,8 +354,8 @@ mod tests {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-        let ag = ApproxGvex::new(cfg.clone());
-        let set = ag.explain(&model, &db, &[0, 1]);
+        let sess = ExplainSession::new(&model, cfg.clone()).expect("valid configuration");
+        let set = sess.explain(&GreedyStrategy, &db, &[0, 1]);
         assert_eq!(set.views.len(), 2);
         for view in &set.views {
             assert!(!view.subgraphs.is_empty(), "label {} got no subgraphs", view.label);
@@ -433,19 +376,19 @@ mod tests {
     fn larger_upper_bound_never_decreases_explainability() {
         let db = motif_db();
         let model = trained_model(&db);
-        let small = ApproxGvex::new(Configuration::uniform(0.05, 0.3, 0.5, 0, 2))
-            .explain_graph(&model, db.graph(1), 1)
-            .unwrap();
-        let large = ApproxGvex::new(Configuration::uniform(0.05, 0.3, 0.5, 0, 5))
-            .explain_graph(&model, db.graph(1), 1)
-            .unwrap();
+        let small =
+            explain_one(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 2), db.graph(1), 1)
+                .unwrap();
+        let large =
+            explain_one(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 5), db.graph(1), 1)
+                .unwrap();
         assert!(large.explainability >= small.explainability - 1e-9);
     }
 
     #[test]
-    fn wrapper_matches_shared_session() {
-        // the thin wrapper (one-shot session) and a long-lived session with
-        // warm caches must agree bitwise
+    fn warm_session_matches_fresh_session() {
+        // the session memos are transparent: a long-lived session with warm
+        // caches and a fresh one-shot session must agree bitwise
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
@@ -453,9 +396,9 @@ mod tests {
         // warm the memos with a first pass
         let warm = GreedyStrategy.explain_graph(&sess, db.graph(1), 1).unwrap();
         let memoized = GreedyStrategy.explain_graph(&sess, db.graph(1), 1).unwrap();
-        let one_shot = ApproxGvex::new(cfg).explain_graph(&model, db.graph(1), 1).unwrap();
+        let fresh = explain_one(&model, cfg, db.graph(1), 1).unwrap();
         let json = |s: &ExplanationSubgraph| serde_json::to_string(s).unwrap();
-        assert_eq!(json(&warm), json(&one_shot));
-        assert_eq!(json(&memoized), json(&one_shot));
+        assert_eq!(json(&warm), json(&fresh));
+        assert_eq!(json(&memoized), json(&fresh));
     }
 }

@@ -3,10 +3,11 @@
 //! The evaluation (§6) compares GVEX against four baselines on per-graph
 //! explanation subgraphs. Every method — GVEX's two algorithms and each
 //! baseline — implements [`Explainer`], so the metric and benchmark code is
-//! written once.
+//! written once. GVEX's algorithms join through [`GvexExplainer`], which
+//! runs any [`SelectionStrategy`] under a configuration.
 
-use crate::approx::ApproxGvex;
-use crate::stream::StreamGvex;
+use crate::config::Configuration;
+use crate::session::{ExplainSession, SelectionStrategy};
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, NodeId};
 
@@ -58,43 +59,42 @@ pub trait Explainer {
     fn explain(&self, model: &GcnModel, g: &Graph, max_nodes: usize) -> NodeExplanation;
 }
 
-impl Explainer for ApproxGvex {
-    fn name(&self) -> &'static str {
-        "ApproxGVEX"
-    }
+/// A GVEX [`SelectionStrategy`] under a configuration, as an
+/// [`Explainer`]: `GvexExplainer::new(GreedyStrategy, cfg)` is ApproxGVEX,
+/// `GvexExplainer::new(StreamStrategy, cfg)` is StreamGVEX. Each call caps
+/// the configuration's coverage bounds at `max_nodes` and explains the
+/// graph through a one-shot [`ExplainSession`]; the method name is the
+/// strategy's.
+#[derive(Clone, Debug)]
+pub struct GvexExplainer<S> {
+    strategy: S,
+    cfg: Configuration,
+}
 
-    fn explain(&self, model: &GcnModel, g: &Graph, max_nodes: usize) -> NodeExplanation {
-        if max_nodes == 0 {
-            return NodeExplanation::default();
-        }
-        let mut cfg = self.config().clone();
-        for b in &mut cfg.bounds {
-            b.upper = b.upper.min(max_nodes);
-            b.lower = b.lower.min(b.upper);
-        }
-        match ApproxGvex::new(cfg).explain_graph(model, g, 0) {
-            Some(sub) => NodeExplanation::new(sub.nodes),
-            None => NodeExplanation::default(),
-        }
+impl<S: SelectionStrategy> GvexExplainer<S> {
+    /// Pairs a strategy with the configuration it runs under.
+    pub fn new(strategy: S, cfg: Configuration) -> Self {
+        Self { strategy, cfg }
     }
 }
 
-impl Explainer for StreamGvex {
+impl<S: SelectionStrategy> Explainer for GvexExplainer<S> {
     fn name(&self) -> &'static str {
-        "StreamGVEX"
+        self.strategy.name()
     }
 
     fn explain(&self, model: &GcnModel, g: &Graph, max_nodes: usize) -> NodeExplanation {
         if max_nodes == 0 {
             return NodeExplanation::default();
         }
-        let mut cfg = self.config().clone();
+        let mut cfg = self.cfg.clone();
         for b in &mut cfg.bounds {
             b.upper = b.upper.min(max_nodes);
             b.lower = b.lower.min(b.upper);
         }
-        match StreamGvex::new(cfg).explain_graph_stream(model, g, 0, None) {
-            Some((sub, _)) => NodeExplanation::new(sub.nodes),
+        let sess = ExplainSession::new(model, cfg).unwrap_or_else(|e| panic!("{e}"));
+        match self.strategy.explain_graph(&sess, g, 0) {
+            Some(sub) => NodeExplanation::new(sub.nodes),
             None => NodeExplanation::default(),
         }
     }
@@ -103,7 +103,7 @@ impl Explainer for StreamGvex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Configuration;
+    use crate::{GreedyStrategy, StreamStrategy};
     use gvex_gnn::GcnConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -146,11 +146,18 @@ mod tests {
         let g = tiny_graph();
         let m = model();
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 10);
-        let ag: &dyn Explainer = &ApproxGvex::new(cfg.clone());
-        let sg: &dyn Explainer = &StreamGvex::new(cfg);
+        let ag: &dyn Explainer = &GvexExplainer::new(GreedyStrategy, cfg.clone());
+        let sg: &dyn Explainer = &GvexExplainer::new(StreamStrategy, cfg);
         for ex in [ag, sg] {
             let res = ex.explain(&m, &g, 2);
             assert!(res.len() <= 2, "{} exceeded max_nodes", ex.name());
         }
+    }
+
+    #[test]
+    fn adapter_names_are_the_paper_method_names() {
+        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 10);
+        assert_eq!(GvexExplainer::new(GreedyStrategy, cfg.clone()).name(), "ApproxGVEX");
+        assert_eq!(GvexExplainer::new(StreamStrategy, cfg).name(), "StreamGVEX");
     }
 }

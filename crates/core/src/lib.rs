@@ -12,21 +12,23 @@
 //!   nodes by mined patterns with minimal edge-coverage loss
 //!   (`H_{u_l}`-approximation, Lemma 4.3),
 //! * [`approx`] — **ApproxGVEX** (Algorithm 1): the explain-and-summarize
-//!   ½-approximation,
+//!   ½-approximation, as [`GreedyStrategy`],
 //! * [`stream`] — **StreamGVEX** (Algorithm 3 + Procedures 4–5): the
-//!   single-pass anytime ¼-approximation with swap-based maintenance,
+//!   single-pass anytime ¼-approximation with swap-based maintenance, as
+//!   [`StreamStrategy`],
 //! * [`session`] — the shared [`session::ExplainSession`] owning the model
 //!   handle, forward-trace cache, and per-graph influence memo, with every
 //!   generation algorithm reduced to a [`session::SelectionStrategy`]
-//!   plugged into the sequential/parallel/sharded drivers,
-//! * [`parallel`] — the per-graph parallel driver (§A.7),
+//!   plugged into the sequential/parallel/sharded drivers — the one way
+//!   to run an explanation algorithm,
+//! * [`parallel`] — the adaptive fan-out gate and batch prediction behind
+//!   the parallel driver (§A.7),
 //! * [`explainer`] — the [`explainer::Explainer`] trait shared with the
 //!   baseline explainers so the evaluation harness can treat every method
-//!   uniformly.
+//!   uniformly; [`GvexExplainer`] plugs a strategy into it.
 
 pub mod approx;
 pub mod config;
-pub mod distributed;
 pub mod exact;
 pub mod explainer;
 pub mod maintain;
@@ -40,17 +42,15 @@ pub mod stream;
 pub mod verify;
 pub mod view;
 
-pub use approx::{ApproxGvex, GreedyStrategy};
+pub use approx::GreedyStrategy;
 pub use config::{ConfigError, Configuration, CoverageBound};
-pub use distributed::explain_database_sharded;
 pub use exact::ExactStrategy;
-pub use explainer::{Explainer, NodeExplanation};
+pub use explainer::{Explainer, GvexExplainer, NodeExplanation};
 pub use maintain::{MaintainError, ViewMaintainer};
 pub use node_explain::{explain_node, NodeExplanationView};
-pub use parallel::explain_database;
 pub use pool::{CachesLease, SessionPool};
 pub use query::{index_views, ViewIndex};
 pub use session::{ExplainSession, SelectionStrategy, SessionCaches};
-pub use stream::{StreamGvex, StreamStrategy};
+pub use stream::StreamStrategy;
 pub use verify::{everify, pmatch, verify_view, VerificationReport};
 pub use view::{ExplanationSubgraph, ExplanationView, ExplanationViewSet};

@@ -211,7 +211,6 @@ impl ViewMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::ApproxGvex;
     use gvex_gnn::{trainer, GcnConfig};
     use gvex_graph::GraphDatabase;
 
@@ -264,13 +263,18 @@ mod tests {
         (db, model, Configuration::uniform(0.05, 0.3, 0.5, 0, 4))
     }
 
+    /// ApproxGVEX's view of the motif class (label 1).
+    fn motif_view(db: &GraphDatabase, model: &GcnModel, cfg: &Configuration) -> ExplanationView {
+        let sess = ExplainSession::new(model, cfg.clone()).expect("valid configuration");
+        let assigned: Vec<usize> = db.graphs().iter().map(|g| model.predict(g)).collect();
+        let groups = db.label_groups(&assigned);
+        GreedyStrategy.explain_label_group(&sess, db, 1, groups.group(1))
+    }
+
     #[test]
     fn adding_similar_graph_needs_no_new_patterns() {
         let (db, model, cfg) = setup();
-        let ag = ApproxGvex::new(cfg.clone());
-        let assigned: Vec<usize> = db.graphs().iter().map(|g| model.predict(g)).collect();
-        let groups = db.label_groups(&assigned);
-        let mut view = ag.explain_label_group(&model, &db, 1, groups.group(1));
+        let mut view = motif_view(&db, &model, &cfg);
         let before = view.patterns.len();
 
         // a new motif graph isomorphic in structure to existing ones
@@ -286,10 +290,7 @@ mod tests {
     #[test]
     fn wrong_label_graph_rejected() {
         let (db, model, cfg) = setup();
-        let ag = ApproxGvex::new(cfg.clone());
-        let assigned: Vec<usize> = db.graphs().iter().map(|g| model.predict(g)).collect();
-        let groups = db.label_groups(&assigned);
-        let mut view = ag.explain_label_group(&model, &db, 1, groups.group(1));
+        let mut view = motif_view(&db, &model, &cfg);
         // a plain (label 0) graph cannot join the label-1 view
         assert_eq!(
             ViewMaintainer::new(cfg).add_graph(&model, &mut view, &plain_graph(6), 998),
@@ -300,10 +301,7 @@ mod tests {
     #[test]
     fn maintained_view_keeps_full_coverage() {
         let (db, model, cfg) = setup();
-        let ag = ApproxGvex::new(cfg.clone());
-        let assigned: Vec<usize> = db.graphs().iter().map(|g| model.predict(g)).collect();
-        let groups = db.label_groups(&assigned);
-        let mut view = ag.explain_label_group(&model, &db, 1, groups.group(1));
+        let mut view = motif_view(&db, &model, &cfg);
         let maintainer = ViewMaintainer::new(cfg.clone());
         maintainer.add_graph(&model, &mut view, &motif_graph(7), 777).expect("maintainable");
         for s in &view.subgraphs {
@@ -318,10 +316,7 @@ mod tests {
     #[test]
     fn remove_graph_garbage_collects() {
         let (db, model, cfg) = setup();
-        let ag = ApproxGvex::new(cfg.clone());
-        let assigned: Vec<usize> = db.graphs().iter().map(|g| model.predict(g)).collect();
-        let groups = db.label_groups(&assigned);
-        let mut view = ag.explain_label_group(&model, &db, 1, groups.group(1));
+        let mut view = motif_view(&db, &model, &cfg);
         let maintainer = ViewMaintainer::new(cfg);
         let total = view.subgraphs.len();
         let first = view.subgraphs[0].graph_index;

@@ -46,7 +46,7 @@ pub struct NodeExplanationView {
 ///
 /// Works inside the target's `k`-hop ego network (`k` = the model's layer
 /// count — influence beyond it is exactly zero), running the same
-/// verified greedy as `ApproxGvex` with per-node inference. Returns `None`
+/// verified greedy as ApproxGVEX ([`crate::GreedyStrategy`]) with per-node inference. Returns `None`
 /// for out-of-range targets or unsatisfiable lower bounds.
 pub fn explain_node(
     model: &GcnModel,

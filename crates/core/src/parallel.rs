@@ -15,10 +15,6 @@
 //! input order, so results stay bitwise identical across thread counts and
 //! threshold settings.
 
-use crate::approx::GreedyStrategy;
-use crate::config::Configuration;
-use crate::session::ExplainSession;
-use crate::view::ExplanationViewSet;
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase};
 use rayon::prelude::*;
@@ -48,19 +44,11 @@ where
     }
 }
 
-/// ~ scalar ops of one forward pass of `model` on `g`: `k` layers of a
-/// sparse product plus a dense product against the hidden weights.
-pub(crate) fn forward_cost(model: &GcnModel, g: &Graph) -> usize {
-    let h = model.config().hidden.max(1);
-    let k = model.config().layers.max(1);
-    k * ((g.num_nodes() + 2 * g.num_edges()) * h + g.num_nodes() * h * h)
-}
-
 /// ~ scalar ops of explaining one graph: the influence matrix dominates
 /// (`O(n³)`-ish whichever route computes it), plus the forward pass.
 pub(crate) fn explain_cost(model: &GcnModel, g: &Graph) -> usize {
     let n = g.num_nodes();
-    n * n * n + forward_cost(model, g)
+    n * n * n + model.forward_cost(g)
 }
 
 /// Classifier-assigned labels for every graph of `db`. Graphs are packed
@@ -70,7 +58,7 @@ pub(crate) fn explain_cost(model: &GcnModel, g: &Graph) -> usize {
 /// index order, so the result is identical for any worker count.
 pub fn predict_all(model: &GcnModel, db: &GraphDatabase) -> Vec<usize> {
     gvex_obs::span!("predict");
-    let est: usize = db.graphs().iter().map(|g| forward_cost(model, g)).sum();
+    let est: usize = db.graphs().iter().map(|g| model.forward_cost(g)).sum();
     let blocks: Vec<&[Graph]> = db.graphs().chunks(gvex_gnn::batch::DEFAULT_BATCH).collect();
     let labels = run_adaptive(blocks, est, |block| {
         let views: Vec<gvex_graph::GraphRef<'_>> = block.iter().map(|g| g.view()).collect();
@@ -79,56 +67,9 @@ pub fn predict_all(model: &GcnModel, db: &GraphDatabase) -> Vec<usize> {
     labels.into_iter().flatten().collect()
 }
 
-/// Generates explanation views for all labels of interest, explaining
-/// graphs in parallel on `threads` workers (0 = rayon's default).
-///
-/// Thin wrapper over [`ExplainSession::explain_parallel`] with the
-/// [`GreedyStrategy`]; construct a session directly to reuse caches across
-/// runs or combine strategies.
-pub fn explain_database(
-    model: &GcnModel,
-    db: &GraphDatabase,
-    labels_of_interest: &[usize],
-    cfg: &Configuration,
-    threads: usize,
-) -> ExplanationViewSet {
-    let sess = ExplainSession::new(model, cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
-    sess.explain_parallel(&GreedyStrategy, db, labels_of_interest, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::ApproxGvex;
-    use gvex_gnn::{trainer, GcnConfig};
-    use gvex_graph::Graph;
-
-    fn motif_db() -> GraphDatabase {
-        let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
-        for i in 0..6 {
-            let mut b = Graph::builder(false);
-            for _ in 0..5 + (i % 2) {
-                b.add_node(0, &[1.0, 0.0, 0.0]);
-            }
-            for v in 1..b.num_nodes() {
-                b.add_edge(v - 1, v, 0);
-            }
-            db.push(b.build(), 0);
-            let mut b = Graph::builder(false);
-            for _ in 0..4 {
-                b.add_node(0, &[1.0, 0.0, 0.0]);
-            }
-            let m1 = b.add_node(1, &[0.0, 1.0, 0.0]);
-            let m2 = b.add_node(2, &[0.0, 0.0, 1.0]);
-            for v in 1..4 {
-                b.add_edge(v - 1, v, 0);
-            }
-            b.add_edge(3, m1, 0);
-            b.add_edge(m1, m2, 0);
-            db.push(b.build(), 1);
-        }
-        db
-    }
 
     #[test]
     fn run_adaptive_branches_agree() {
@@ -141,41 +82,5 @@ mod tests {
             let par = run_adaptive(items, usize::MAX, |x| x * 3 + 1);
             assert_eq!(seq, par);
         });
-    }
-
-    #[test]
-    fn parallel_matches_sequential_results() {
-        let db = motif_db();
-        let split = trainer::Split {
-            train: (0..db.len()).collect(),
-            val: (0..db.len()).collect(),
-            test: vec![],
-        };
-        let gcfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
-        let opts = trainer::TrainOptions {
-            epochs: 60,
-            lr: 0.01,
-            seed: 1,
-            patience: 0,
-            ..Default::default()
-        };
-        let (model, _) = trainer::train(&db, gcfg, &split, opts);
-
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let par = explain_database(&model, &db, &[0, 1], &cfg, 2);
-        let seq = ApproxGvex::new(cfg).explain(&model, &db, &[0, 1]);
-        assert_eq!(par.views.len(), seq.views.len());
-        for (a, b) in par.views.iter().zip(&seq.views) {
-            assert_eq!(a.label, b.label);
-            // deterministic per-graph step ⇒ identical node selections
-            let na: Vec<_> = a.subgraphs.iter().map(|s| (s.graph_index, s.nodes.clone())).collect();
-            let nb: Vec<_> = b.subgraphs.iter().map(|s| (s.graph_index, s.nodes.clone())).collect();
-            let mut na_sorted = na.clone();
-            na_sorted.sort();
-            let mut nb_sorted = nb.clone();
-            nb_sorted.sort();
-            assert_eq!(na_sorted, nb_sorted);
-            assert!((a.explainability - b.explainability).abs() < 1e-9);
-        }
     }
 }

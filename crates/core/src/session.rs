@@ -18,9 +18,9 @@
 //! * [`ExplainSession::explain_parallel`] — the §A.7 rayon fan-out with the
 //!   adaptive cost gate (order-preserving, bitwise identical across thread
 //!   counts),
-//! * [`ExplainSession::explain_sharded`] — the coordinator/worker protocol
-//!   of the distributed driver (each shard summarizes locally; the
-//!   coordinator merges in shard order).
+//! * [`ExplainSession::explain_sharded`] — a coordinator/worker protocol
+//!   for the paper's distributed future-work item (§7): each shard
+//!   summarizes locally; the coordinator merges in shard order.
 //!
 //! Determinism: the per-graph influence memo is keyed by the same content
 //! fingerprint the trace cache uses *plus the graph index*, because the
@@ -107,7 +107,8 @@ impl Default for SessionCaches {
 /// explain every group member, then summarize with `Psum` — and strategies
 /// with their own assembly (streaming pattern maintenance) override it.
 pub trait SelectionStrategy: Sync {
-    /// Human-readable algorithm name.
+    /// Method name as printed in result tables ("ApproxGVEX",
+    /// "StreamGVEX").
     fn name(&self) -> &'static str;
 
     /// Explains a single graph: selects `V_S`, induces the explanation
@@ -384,10 +385,13 @@ impl<'m> ExplainSession<'m> {
 
     /// Sharded ("distributed") driver: `shards` workers each own a
     /// contiguous slice of the database, explain their members, and
-    /// summarize *locally*; the coordinator merges shard results per label
-    /// in shard order, deduplicating patterns up to isomorphism and
-    /// re-checking coverage. Deterministic: the merged result does not
-    /// depend on worker scheduling.
+    /// summarize *locally*, so only patterns and subgraphs leave a worker;
+    /// the coordinator merges shard results per label in shard order,
+    /// deduplicating patterns up to isomorphism and re-checking coverage.
+    /// Workers talk to the coordinator over channels only, with no shared
+    /// mutable state, so the protocol lifts to processes or machines
+    /// unchanged. Deterministic: the merged result does not depend on
+    /// worker scheduling.
     pub fn explain_sharded(
         &self,
         strategy: &dyn SelectionStrategy,

@@ -18,23 +18,18 @@
 //! The algorithm is exposed as [`StreamStrategy`], a
 //! [`SelectionStrategy`] over a shared [`ExplainSession`] (the initial
 //! forward pass comes from the session's trace cache, and every `VpExtend`
-//! probe runs on a zero-copy view); [`StreamGvex`] remains as the
-//! configuration-carrying entry point with one-shot sessions.
+//! probe runs on a zero-copy view). [`StreamStrategy::stream_graph`] streams
+//! one graph in a caller-chosen node order; [`GraphStream`] exposes the
+//! per-arrival state for anytime inspection.
 
 use crate::config::Configuration;
 use crate::session::{ExplainSession, SelectionStrategy};
-use crate::view::{ExplanationSubgraph, ExplanationView, ExplanationViewSet};
-use gvex_gnn::{ForwardTrace, GcnModel};
+use crate::view::{ExplanationSubgraph, ExplanationView};
+use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase, NodeId};
 use gvex_influence::analysis::StreamingInfluence;
 use gvex_iso::coverage::covered_by_set;
 use gvex_mining::inc_pgen;
-
-/// The StreamGVEX explainer (§5).
-#[derive(Clone, Debug)]
-pub struct StreamGvex {
-    cfg: Configuration,
-}
 
 /// Algorithm 3's single-pass swap selection as a session strategy.
 #[derive(Clone, Copy, Debug, Default)]
@@ -65,31 +60,17 @@ pub struct GraphStream<'m> {
 }
 
 impl<'m> GraphStream<'m> {
-    /// Prepares streaming over `g` (no Jacobian precomputation happens
+    /// Prepares streaming over `g` through a session: one memoized forward
+    /// pass from the session's trace cache serves the label and the
+    /// stream's embeddings/adjacency (no Jacobian precomputation happens
     /// here — that is the point of the streaming variant).
-    pub fn new(model: &'m GcnModel, g: &'m Graph, graph_index: usize, cfg: Configuration) -> Self {
-        // one forward pass serves the label and the stream's embeddings/adj
-        let trace = model.forward(g);
-        Self::from_trace(model, g, graph_index, cfg, &trace)
-    }
-
-    /// Prepares streaming over `g` through a session: the initial forward
-    /// pass comes from the session's trace cache.
     pub fn with_session(sess: &ExplainSession<'m>, g: &'m Graph, graph_index: usize) -> Self {
+        let model = sess.model();
+        let cfg = sess.config().clone();
         let trace = sess.trace(g);
-        Self::from_trace(sess.model(), g, graph_index, sess.config().clone(), &trace)
-    }
-
-    fn from_trace(
-        model: &'m GcnModel,
-        g: &'m Graph,
-        graph_index: usize,
-        cfg: Configuration,
-        trace: &ForwardTrace,
-    ) -> Self {
         let label = trace.label();
         let bound = cfg.bound(label);
-        let inf = StreamingInfluence::with_trace(model, g, trace, cfg.theta, cfg.r, cfg.gamma);
+        let inf = StreamingInfluence::with_trace(model, g, &trace, cfg.theta, cfg.r, cfg.gamma);
         Self {
             model,
             g,
@@ -152,7 +133,7 @@ impl<'m> GraphStream<'m> {
     }
 
     /// `VpExtend` (Procedure 2) in the streaming setting, with the same
-    /// tiered cold-start policy as `ApproxGvex`: full pass always admits;
+    /// tiered cold-start policy as ApproxGVEX's [`crate::GreedyStrategy`]: full pass always admits;
     /// a consistency-only extension admits while the selection is not yet
     /// counterfactual; an unconstrained extension admits only while even
     /// consistency has not been reached (a single pass cannot afford to be
@@ -434,7 +415,7 @@ impl StreamStrategy {
 
 impl SelectionStrategy for StreamStrategy {
     fn name(&self) -> &'static str {
-        "stream"
+        "StreamGVEX"
     }
 
     fn explain_graph(
@@ -468,80 +449,6 @@ impl SelectionStrategy for StreamStrategy {
             }
         }
         sess.assemble_view(label, subgraphs, patterns)
-    }
-}
-
-impl StreamGvex {
-    /// Creates the streaming explainer.
-    pub fn new(cfg: Configuration) -> Self {
-        Self { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &Configuration {
-        &self.cfg
-    }
-
-    fn session<'m>(&self, model: &'m GcnModel) -> ExplainSession<'m> {
-        ExplainSession::new(model, self.cfg.clone()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Streams one graph in the given node order (defaults to `0..n` when
-    /// `order` is `None`) and returns its explanation subgraph + local
-    /// patterns.
-    pub fn explain_graph_stream(
-        &self,
-        model: &GcnModel,
-        g: &Graph,
-        graph_index: usize,
-        order: Option<&[NodeId]>,
-    ) -> Option<(ExplanationSubgraph, Vec<Graph>)> {
-        StreamStrategy.stream_graph(&self.session(model), g, graph_index, order)
-    }
-
-    /// Builds an explanation view for one label group, streaming each
-    /// member graph and assembling the maintained patterns into a covering
-    /// set (falling back to a `Psum` completion for any node the streamed
-    /// patterns missed).
-    pub fn explain_label_group(
-        &self,
-        model: &GcnModel,
-        db: &GraphDatabase,
-        label: usize,
-        group: &[usize],
-    ) -> ExplanationView {
-        StreamStrategy.explain_label_group(&self.session(model), db, label, group)
-    }
-
-    /// Solves the EVG instance in streaming fashion, one view per label of
-    /// interest.
-    pub fn explain(
-        &self,
-        model: &GcnModel,
-        db: &GraphDatabase,
-        labels_of_interest: &[usize],
-    ) -> ExplanationViewSet {
-        self.session(model).explain(&StreamStrategy, db, labels_of_interest)
-    }
-
-    /// Like [`Self::explain_label_group`] but summarizing with the batch
-    /// `Psum` — used by ablations comparing streamed vs. batch
-    /// summarization quality.
-    pub fn explain_label_group_batch_summary(
-        &self,
-        model: &GcnModel,
-        db: &GraphDatabase,
-        label: usize,
-        group: &[usize],
-    ) -> ExplanationView {
-        let sess = self.session(model);
-        let subgraphs: Vec<ExplanationSubgraph> = group
-            .iter()
-            .filter_map(|&gi| {
-                StreamStrategy.stream_graph(&sess, db.graph(gi), gi, None).map(|(s, _)| s)
-            })
-            .collect();
-        sess.summarize(label, subgraphs)
     }
 }
 
@@ -594,12 +501,16 @@ mod tests {
         trainer::train(db, cfg, &split, opts).0
     }
 
+    fn session(model: &GcnModel, cfg: Configuration) -> ExplainSession<'_> {
+        ExplainSession::new(model, cfg).expect("valid configuration")
+    }
+
     #[test]
     fn stream_respects_upper_bound() {
         let db = motif_db();
         let model = trained_model(&db);
-        let sg = StreamGvex::new(Configuration::uniform(0.05, 0.3, 0.5, 0, 3));
-        let (sub, _) = sg.explain_graph_stream(&model, db.graph(1), 1, None).unwrap();
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 3));
+        let (sub, _) = StreamStrategy.stream_graph(&sess, db.graph(1), 1, None).unwrap();
         assert!(sub.len() <= 3 && !sub.is_empty());
     }
 
@@ -607,9 +518,9 @@ mod tests {
     fn anytime_access_mid_stream() {
         let db = motif_db();
         let model = trained_model(&db);
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 4));
         let g = db.graph(1);
-        let mut stream = GraphStream::new(&model, g, 1, cfg);
+        let mut stream = GraphStream::with_session(&sess, g, 1);
         stream.arrive(0);
         stream.arrive(1);
         let mid = stream.current_nodes().len();
@@ -625,9 +536,9 @@ mod tests {
     fn patterns_maintained_during_stream() {
         let db = motif_db();
         let model = trained_model(&db);
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 4));
         let g = db.graph(1);
-        let mut stream = GraphStream::new(&model, g, 1, cfg);
+        let mut stream = GraphStream::with_session(&sess, g, 1);
         for v in 0..g.num_nodes() {
             stream.arrive(v);
         }
@@ -644,10 +555,10 @@ mod tests {
         let db = motif_db();
         let model = trained_model(&db);
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-        let sg = StreamGvex::new(cfg.clone());
+        let sess = session(&model, cfg.clone());
         let assigned = crate::parallel::predict_all(&model, &db);
         let groups = db.label_groups(&assigned);
-        let view = sg.explain_label_group(&model, &db, 1, groups.group(1));
+        let view = StreamStrategy.explain_label_group(&sess, &db, 1, groups.group(1));
         for s in &view.subgraphs {
             assert!(crate::verify::pmatch(&view.patterns, &s.subgraph, &cfg));
         }
@@ -657,13 +568,12 @@ mod tests {
     fn node_order_does_not_change_worst_case_validity() {
         let db = motif_db();
         let model = trained_model(&db);
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let sg = StreamGvex::new(cfg);
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 3));
         let g = db.graph(1);
         let fwd: Vec<usize> = (0..g.num_nodes()).collect();
         let rev: Vec<usize> = (0..g.num_nodes()).rev().collect();
-        let a = sg.explain_graph_stream(&model, g, 1, Some(&fwd));
-        let b = sg.explain_graph_stream(&model, g, 1, Some(&rev));
+        let a = StreamStrategy.stream_graph(&sess, g, 1, Some(&fwd));
+        let b = StreamStrategy.stream_graph(&sess, g, 1, Some(&rev));
         // both orders must produce a bounded, nonempty selection
         for res in [a, b] {
             let (sub, _) = res.unwrap();
@@ -675,31 +585,17 @@ mod tests {
     fn unsatisfiable_lower_bound_returns_none() {
         let db = motif_db();
         let model = trained_model(&db);
-        let sg = StreamGvex::new(Configuration::uniform(0.05, 0.3, 0.5, 50, 60));
-        assert!(sg.explain_graph_stream(&model, db.graph(0), 0, None).is_none());
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 50, 60));
+        assert!(StreamStrategy.stream_graph(&sess, db.graph(0), 0, None).is_none());
     }
 
     #[test]
     fn stream_explain_builds_view_per_label() {
         let db = motif_db();
         let model = trained_model(&db);
-        let sg = StreamGvex::new(Configuration::uniform(0.05, 0.3, 0.5, 0, 3));
-        let set = sg.explain(&model, &db, &[0, 1]);
+        let sess = session(&model, Configuration::uniform(0.05, 0.3, 0.5, 0, 3));
+        let set = sess.explain(&StreamStrategy, &db, &[0, 1]);
         assert_eq!(set.views.len(), 2);
         assert!(set.total_explainability() > 0.0);
-    }
-
-    #[test]
-    fn session_stream_matches_wrapper() {
-        let db = motif_db();
-        let model = trained_model(&db);
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let sess = ExplainSession::new(&model, cfg.clone()).unwrap();
-        let via_session = sess.explain(&StreamStrategy, &db, &[0, 1]);
-        let via_wrapper = StreamGvex::new(cfg).explain(&model, &db, &[0, 1]);
-        assert_eq!(
-            serde_json::to_string(&via_session).unwrap(),
-            serde_json::to_string(&via_wrapper).unwrap()
-        );
     }
 }

@@ -230,6 +230,15 @@ impl GcnModel {
         &self.cfg
     }
 
+    /// ~ scalar ops of one forward pass on `g`: `k` layers of a sparse
+    /// product plus a dense product against the hidden weights. The
+    /// adaptive-parallelism gates price their fan-outs with it.
+    pub fn forward_cost(&self, g: &Graph) -> usize {
+        let h = self.cfg.hidden.max(1);
+        let k = self.cfg.layers.max(1);
+        k * ((g.num_nodes() + 2 * g.num_edges()) * h + g.num_nodes() * h * h)
+    }
+
     /// Convolution weight of layer `i` (read-only; the influence analysis
     /// needs weight norms for Jacobian bounds).
     pub fn conv_weight(&self, i: usize) -> &Matrix {

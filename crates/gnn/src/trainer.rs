@@ -240,147 +240,6 @@ fn train_with_rng(
     (best_model, TrainReport { epoch_loss, best_val_accuracy, test_accuracy, epochs: ran })
 }
 
-/// Data-parallel variant of [`train`]: every epoch computes per-graph
-/// gradients for the whole training split in parallel, reduces them in
-/// split order, and applies **one** Adam step on the mean gradient. This
-/// trades [`train`]'s per-graph (SGD-style) steps for a full-batch step per
-/// epoch — a different but equally valid optimization schedule — in
-/// exchange for an embarrassingly parallel epoch body. The gradient
-/// reduction folds in a fixed order, so losses and weights are bitwise
-/// identical for any rayon thread count.
-pub fn train_parallel(
-    db: &GraphDatabase,
-    cfg: GcnConfig,
-    split: &Split,
-    opts: TrainOptions,
-) -> (GcnModel, TrainReport) {
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
-    let mut model = GcnModel::new(cfg, &mut rng);
-
-    let mut adams: Vec<Adam> =
-        model.param_shapes().into_iter().map(|(r, c)| Adam::with_lr(r, c, opts.lr)).collect();
-    let gated = model.has_edge_gates();
-    let mut gate_adam = gated.then(|| Adam::with_lr(1, model.edge_gate_scales().len(), opts.lr));
-    let adj: Vec<Arc<NormAdj>> = if gated {
-        Vec::new()
-    } else {
-        db.graphs()
-            .iter()
-            .map(|g| Arc::new(NormAdj::with_aggregation(g, model.aggregation())))
-            .collect()
-    };
-
-    // forward + backward ≈ 3 forward passes per graph; constant across
-    // epochs, so price the fan-out once
-    let epoch_est: usize =
-        split.train.iter().map(|&gi| 3 * forward_cost(&model, db.graph(gi))).sum();
-
-    // the shuffle is irrelevant to a full-batch mean but is kept so the RNG
-    // stream (and thus weight init across epochs-of-interest) matches
-    // `train`'s consumption pattern
-    let mut order = split.train.clone();
-    let mut best = (0.0_f32, model.clone());
-    let mut since_best = 0usize;
-    let mut epoch_loss = Vec::with_capacity(opts.epochs);
-    let mut ran = 0;
-
-    for _epoch in 0..opts.epochs {
-        gvex_obs::span!("gnn.train.epoch");
-        gvex_obs::counter!("gnn.train.epochs");
-        let epoch_clock = gvex_obs::enabled().then(std::time::Instant::now);
-        ran += 1;
-        order.shuffle(&mut rng);
-        // fan the per-graph forward/backward passes across workers — unless
-        // the split is small enough that thread spawns dominate, in which
-        // case run them in place (the reduction below folds in split order
-        // either way, so the dispatch cannot change the trajectory)
-        let pass = |&gi: &usize| -> Option<(f32, Vec<Matrix>, Option<Matrix>)> {
-            let g = db.graph(gi);
-            if g.num_nodes() == 0 {
-                return None;
-            }
-            let truth = db.truth()[gi];
-            Some(if gated {
-                let trace = model.forward(g); // rebuilds the gated operator
-                let (grads, gate_grads) = model.backward_edge_gates(&trace, g, truth);
-                let list: Vec<Matrix> =
-                    GcnModel::grads_in_order(&grads).into_iter().cloned().collect();
-                (grads.loss, list, Some(gate_grads))
-            } else {
-                let trace = model.forward_with_adj(g, Arc::clone(&adj[gi]));
-                let grads = model.backward(&trace, truth);
-                let list: Vec<Matrix> =
-                    GcnModel::grads_in_order(&grads).into_iter().cloned().collect();
-                (grads.loss, list, None)
-            })
-        };
-        let results: Vec<(f32, Vec<Matrix>, Option<Matrix>)> = if rayon::should_fan_out(epoch_est) {
-            order.par_iter().filter_map(pass).collect()
-        } else {
-            order.iter().filter_map(pass).collect()
-        };
-
-        let mut loss_sum = 0.0;
-        if let Some((first, rest)) = results.split_first() {
-            // deterministic reduction: fold in split order
-            let mut grad_sum = first.1.clone();
-            let mut gate_sum = first.2.clone();
-            loss_sum += first.0;
-            for (loss, grads, gate_grads) in rest {
-                loss_sum += loss;
-                for (s, g) in grad_sum.iter_mut().zip(grads) {
-                    s.add_scaled(g, 1.0);
-                }
-                if let (Some(gs), Some(gg)) = (gate_sum.as_mut(), gate_grads.as_ref()) {
-                    gs.add_scaled(gg, 1.0);
-                }
-            }
-            let inv = 1.0 / results.len() as f32;
-            for ((param, opt), grad) in
-                model.params_mut().into_iter().zip(&mut adams).zip(&grad_sum)
-            {
-                opt.step(param, &grad.scale(inv));
-            }
-            if let (Some(gs), Some(opt)) = (gate_sum, gate_adam.as_mut()) {
-                if let Some(gates) = model.edge_gates_mut() {
-                    opt.step(gates, &gs.scale(inv));
-                }
-            }
-        }
-        epoch_loss.push(loss_sum / split.train.len().max(1) as f32);
-        if let Some(t0) = epoch_clock {
-            gvex_obs::histogram!("gnn.train.epoch_ms", t0.elapsed().as_millis() as u64);
-        }
-
-        let val_acc = accuracy(&model, db, &split.val);
-        if val_acc > best.0 {
-            best = (val_acc, model.clone());
-            since_best = 0;
-        } else {
-            if val_acc == best.0 {
-                best.1 = model.clone();
-            }
-            since_best += 1;
-            if opts.patience > 0 && since_best >= opts.patience {
-                break;
-            }
-        }
-    }
-
-    let (best_val_accuracy, best_model) = best;
-    let test_accuracy = accuracy(&best_model, db, &split.test);
-    (best_model, TrainReport { epoch_loss, best_val_accuracy, test_accuracy, epochs: ran })
-}
-
-/// ~ scalar ops of one forward pass of `model` on `g`: `k` layers of a
-/// sparse product plus a dense product against the hidden weights. The
-/// adaptive-parallelism gates in this module price their fan-outs with it.
-fn forward_cost(model: &GcnModel, g: &gvex_graph::Graph) -> usize {
-    let h = model.config().hidden.max(1);
-    let k = model.config().layers.max(1);
-    k * ((g.num_nodes() + 2 * g.num_edges()) * h + g.num_nodes() * h * h)
-}
-
 /// Fraction of `indices` whose prediction matches the ground truth.
 /// Graphs are classified in block-diagonal batches of [`DEFAULT_BATCH`]
 /// (one fused forward per block); the blocks fan out across rayon workers
@@ -390,7 +249,7 @@ pub fn accuracy(model: &GcnModel, db: &GraphDatabase, indices: &[usize]) -> f32 
     if indices.is_empty() {
         return 0.0;
     }
-    let est: usize = indices.iter().map(|&gi| forward_cost(model, db.graph(gi))).sum();
+    let est: usize = indices.iter().map(|&gi| model.forward_cost(db.graph(gi))).sum();
     let hits = |chunk: &&[usize]| -> usize {
         let views: Vec<GraphRef<'_>> = chunk.iter().map(|&gi| db.graph(gi).view()).collect();
         model
@@ -475,29 +334,6 @@ mod tests {
         let last = *report.epoch_loss.last().unwrap();
         assert!(last < first, "loss did not decrease: {first} -> {last}");
         let _ = model;
-    }
-
-    #[test]
-    fn parallel_training_learns_and_is_thread_count_invariant() {
-        let db = toy_db(10);
-        let split = Split::paper(&db, 7);
-        let cfg = GcnConfig { input_dim: 2, hidden: 8, layers: 2, num_classes: 2 };
-        let opts =
-            TrainOptions { epochs: 150, lr: 0.05, seed: 7, patience: 0, ..Default::default() };
-        let narrow = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let (m1, r1) = narrow.install(|| train_parallel(&db, cfg, &split, opts));
-        let wide = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let (m4, r4) = wide.install(|| train_parallel(&db, cfg, &split, opts));
-        assert_eq!(r1.epoch_loss, r4.epoch_loss, "loss trajectory depends on thread count");
-        assert_eq!(r1.test_accuracy, r4.test_accuracy);
-        for gi in 0..db.len() {
-            assert_eq!(m1.predict(db.graph(gi)), m4.predict(db.graph(gi)));
-        }
-        assert!(
-            r1.test_accuracy >= 0.99,
-            "full-batch training failed to separate easy classes: {}",
-            r1.test_accuracy
-        );
     }
 
     #[test]

@@ -142,11 +142,12 @@ const SEED_BATCH: usize = 32;
 /// seed node's `l`-hop neighbourhood after `l` layers, and those
 /// neighbourhoods are precomputed once per call ([`hop_supports`]), so
 /// every stage touches only its live rows — no per-call sparsity census,
-/// no zeroing of rows that stay dead. Numerically this agrees with
-/// [`realized_reference`] to FMA/reassociation rounding (≪ 1e-5; pinned by
-/// the differential property tests), and the result is independent of the
-/// rayon thread count (blocks are single-writer with a fixed per-row
-/// accumulation order).
+/// no zeroing of rows that stay dead. Numerically this agrees with a
+/// seed-at-a-time propagation through the scalar backend to
+/// FMA/reassociation rounding (≪ 1e-5; the differential property tests pin
+/// it against that oracle), and the result is independent of the rayon
+/// thread count (blocks are single-writer with a fixed per-row accumulation
+/// order).
 pub fn realized<'a>(model: &GcnModel, g: impl Into<GraphRef<'a>>) -> Matrix {
     let g = g.into();
     let trace = model.forward(&g);
@@ -336,43 +337,6 @@ pub fn realized_with_trace<'a>(
     normalize_rows(i1)
 }
 
-/// The original seed-at-a-time realized Jacobian, kept as the reference
-/// implementation the batched [`realized`] is differentially tested and
-/// benchmarked against. Its dense products are pinned to the retained
-/// [`Matrix::matmul_reference`] kernel so this function keeps measuring the
-/// seed implementation as it was, regardless of how `Matrix::matmul`
-/// evolves.
-#[allow(clippy::needless_range_loop)] // layer index parallels gates/pre/weights
-pub fn realized_reference(model: &GcnModel, g: &Graph) -> Matrix {
-    let n = g.num_nodes();
-    let d = model.config().input_dim;
-    let trace = model.forward(g);
-    let adj = &*trace.adj;
-    let k = model.config().layers;
-
-    // ReLU gate masks per layer.
-    let gates: Vec<Matrix> =
-        trace.pre.iter().map(|z| z.map(|x| if x > 0.0 { 1.0 } else { 0.0 })).collect();
-
-    let mut i1 = Matrix::zeros(n, n); // i1[(v, u)] = ‖∂X_v^k/∂X_u^0‖₁
-                                      // forward-mode: seed ∂X/∂X_u[d] = e_u e_dᵀ and push through the layers.
-    for u in 0..n {
-        for dim in 0..d {
-            let mut t = Matrix::zeros(n, d);
-            t[(u, dim)] = 1.0;
-            for layer in 0..k {
-                let propagated = adj.matmul(&t);
-                let z = propagated.matmul_reference(model.conv_weight(layer));
-                t = z.hadamard(&gates[layer]);
-            }
-            for v in 0..n {
-                i1[(v, u)] += t.row_l1(v);
-            }
-        }
-    }
-    normalize_rows(i1)
-}
-
 fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
     let n = g.num_nodes();
     // One independently seeded stream per source node, derived serially from
@@ -423,6 +387,7 @@ fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
 mod tests {
     use super::*;
     use gvex_gnn::GcnConfig;
+    use gvex_linalg::backend;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -482,6 +447,36 @@ mod tests {
             let s: f32 = inf.row(v).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
+    }
+
+    /// The seed-at-a-time realized Jacobian the batched [`realized`] is
+    /// pinned against: one forward-mode propagation per `(node, feature)`
+    /// seed `e_u e_dᵀ` through the model's ReLU gates, dense products on
+    /// the scalar backend.
+    fn realized_reference(model: &GcnModel, g: &Graph) -> Matrix {
+        let scalar = backend::backend(backend::BackendKind::Scalar);
+        let n = g.num_nodes();
+        let d = model.config().input_dim;
+        let trace = model.forward(g);
+        let gates: Vec<Matrix> =
+            trace.pre.iter().map(|z| z.map(|x| if x > 0.0 { 1.0 } else { 0.0 })).collect();
+        let mut i1 = Matrix::zeros(n, n); // i1[(v, u)] = ‖∂X_v^k/∂X_u^0‖₁
+        for u in 0..n {
+            for dim in 0..d {
+                let mut t = Matrix::zeros(n, d);
+                t[(u, dim)] = 1.0;
+                for (layer, gate) in gates.iter().enumerate() {
+                    let propagated = trace.adj.matmul(&t);
+                    let mut z = Matrix::zeros(0, 0);
+                    scalar.matmul_into(&propagated, model.conv_weight(layer), &mut z);
+                    t = z.hadamard(gate);
+                }
+                for v in 0..n {
+                    i1[(v, u)] += t.row_l1(v);
+                }
+            }
+        }
+        normalize_rows(i1)
     }
 
     /// The batched propagation must reproduce the seed-at-a-time reference

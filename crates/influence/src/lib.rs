@@ -41,6 +41,5 @@ pub use gvex_graph::BitSet;
 
 pub use analysis::{InfluenceAnalysis, StreamingInfluence};
 pub use jacobian::{
-    influence_matrix, influence_matrix_with_trace, realized, realized_reference,
-    realized_with_trace, InfluenceMode,
+    influence_matrix, influence_matrix_with_trace, realized, realized_with_trace, InfluenceMode,
 };

@@ -24,8 +24,8 @@
 
 use crate::log::Op;
 use gvex_core::{
-    explain_database, pmatch, Configuration, ExplanationView, ExplanationViewSet, MaintainError,
-    ViewMaintainer,
+    pmatch, Configuration, ExplainSession, ExplanationView, ExplanationViewSet, GreedyStrategy,
+    MaintainError, ViewMaintainer,
 };
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase};
@@ -547,7 +547,8 @@ pub fn rebuild_views(
 ) -> ExplanationViewSet {
     gvex_obs::counter!("ingest.views_recomputed", db.num_classes() as u64);
     let labels: Vec<usize> = (0..db.num_classes()).collect();
-    explain_database(model, db, &labels, cfg, threads)
+    let sess = ExplainSession::new(model, cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
+    sess.explain_parallel(&GreedyStrategy, db, &labels, threads)
 }
 
 /// Outcome of [`check_equivalent`].

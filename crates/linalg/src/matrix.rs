@@ -186,8 +186,8 @@ impl Matrix {
     /// columns (`NR`), packing each RHS tile into a contiguous scratch buffer
     /// that is reused across every output row. Full-width row blocks go
     /// through an `MR × NR` register micro-kernel whose inner step is a
-    /// fused multiply-add (`f32::mul_add`), so results can differ from
-    /// [`Self::matmul_reference`] by the usual FMA rounding (≪ 1e-5
+    /// fused multiply-add (`f32::mul_add`), so results can differ from the
+    /// scalar backend's reference loops by the usual FMA rounding (≪ 1e-5
     /// relative; the differential property tests pin this). Accumulation
     /// order over `k` is the same ascending order as the reference kernel.
     /// Above [`PAR_MACS_THRESHOLD`] multiply-accumulates the row blocks fan
@@ -213,8 +213,8 @@ impl Matrix {
     ///
     /// Dispatches through the active [`crate::backend`]: the default `simd`
     /// backend runs the tiled micro-kernel described on [`Self::matmul`],
-    /// the `scalar` backend the reference loops of
-    /// [`Self::matmul_reference`].
+    /// the `scalar` backend the naive i-k-j reference loops with a
+    /// per-element zero skip.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -223,22 +223,6 @@ impl Matrix {
         );
         crate::backend::dispatch(crate::backend::Kernel::Matmul).matmul_into(self, rhs, out);
     }
-    /// The original naive i-k-j triple loop with a per-element zero skip.
-    ///
-    /// Retained as the ground truth for differential tests and as the
-    /// baseline the `BENCH_hotpaths` speedup numbers are measured against;
-    /// this is also exactly the kernel the `scalar` backend runs.
-    pub fn matmul_reference(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(0, 0);
-        matmul_into_scalar(self, rhs, &mut out);
-        out
-    }
-
     /// Transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -741,6 +725,14 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// The scalar backend's product: the oracle every other kernel is
+    /// pinned against.
+    fn scalar_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        crate::backend::backend(crate::backend::BackendKind::Scalar).matmul_into(a, b, &mut out);
+        out
+    }
+
     /// Max absolute element difference between two same-shaped matrices.
     fn max_diff(a: &Matrix, b: &Matrix) -> f32 {
         assert_eq!(a.shape(), b.shape());
@@ -753,7 +745,7 @@ mod tests {
             let a = lcg_matrix(m, k, 7, 3);
             let b = lcg_matrix(k, n, 13, 0);
             let tiled = a.matmul(&b);
-            let naive = a.matmul_reference(&b);
+            let naive = scalar_matmul(&a, &b);
             // entries are O(1) sums of ≤130 products of values in [-0.5, 0.5],
             // so 1e-5 absolute comfortably covers FMA rounding differences
             assert!(
@@ -774,7 +766,7 @@ mod tests {
         let ser = narrow.install(|| a.matmul(&b));
         // identical code path per row regardless of worker count
         assert_eq!(par, ser);
-        assert!(max_diff(&par, &a.matmul_reference(&b)) < 1e-5);
+        assert!(max_diff(&par, &scalar_matmul(&a, &b)) < 1e-5);
     }
 
     #[test]
@@ -787,7 +779,7 @@ mod tests {
             a[(i, (i * 7) % 40)] = (i as f32 + 1.0) * 0.25;
         }
         let b = lcg_matrix(40, 29, 11, 0);
-        assert_eq!(a.matmul(&b), a.matmul_reference(&b));
+        assert_eq!(a.matmul(&b), scalar_matmul(&a, &b));
     }
 
     #[test]
@@ -803,7 +795,7 @@ mod tests {
         }
         let b = lcg_matrix(40, 64, 11, 0);
         let got = a.matmul(&b);
-        assert!(max_diff(&got, &a.matmul_reference(&b)) < 1e-5);
+        assert!(max_diff(&got, &scalar_matmul(&a, &b)) < 1e-5);
         for i in 0..64 {
             if i % 4 != 0 {
                 assert!(got.row(i).iter().all(|&v| v == 0.0), "dead row {i} must stay zero");
@@ -818,7 +810,7 @@ mod tests {
         // micro-kernel (within FMA rounding of the reference)
         let a = lcg_matrix(33, 40, 5, 2);
         let b = lcg_matrix(40, 29, 11, 0);
-        assert!(max_diff(&a.matmul(&b), &a.matmul_reference(&b)) < 1e-5);
+        assert!(max_diff(&a.matmul(&b), &scalar_matmul(&a, &b)) < 1e-5);
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub fn cache_key(state: &ServeState, req: &Request) -> Option<CacheKey> {
             fingerprint,
             kind: 1,
             class: req.label.unwrap_or(u64::MAX),
-            a: req.upper.unwrap_or(0),
+            a: effective_upper(req) as u64,
             b: u64::from(req.stream),
         }),
         "node" => Some(CacheKey {
@@ -221,7 +221,7 @@ pub fn cache_key(state: &ServeState, req: &Request) -> Option<CacheKey> {
             kind: 2,
             class: req.graph.unwrap_or(u64::MAX),
             a: req.target.unwrap_or(u64::MAX),
-            b: req.upper.unwrap_or(0),
+            b: effective_upper(req) as u64,
         }),
         "query" => Some(CacheKey {
             fingerprint,
@@ -270,12 +270,18 @@ fn answer_stats(state: &ServeState) -> Response {
     Response::success(body)
 }
 
-pub(crate) fn config_for(req: &Request) -> Configuration {
-    let upper = match req.upper {
+/// The coverage upper bound a request is answered under: absent or 0 means
+/// [`DEFAULT_UPPER`]. The cache key and the configuration both read it, so
+/// requests that compute the same answer share one cache entry.
+fn effective_upper(req: &Request) -> usize {
+    match req.upper {
         Some(u) if u > 0 => u as usize,
         _ => DEFAULT_UPPER,
-    };
-    Configuration::paper_mut(upper)
+    }
+}
+
+pub(crate) fn config_for(req: &Request) -> Configuration {
+    Configuration::paper_mut(effective_upper(req))
 }
 
 fn answer_explain(state: &ServeState, req: &Request) -> Response {

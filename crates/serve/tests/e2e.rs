@@ -8,6 +8,7 @@ use gvex_gnn::{trainer, GcnConfig, GcnModel};
 use gvex_graph::{Graph, GraphDatabase};
 use gvex_ingest::{to_jsonl, IngestEngine, Op};
 use gvex_serve::protocol::{read_frame, write_frame};
+use gvex_serve::state::DEFAULT_UPPER;
 use gvex_serve::{answer, Client, Request, Response, ServeState, Server, ServerConfig};
 use gvex_store::{write_store, BuildInput};
 use std::net::TcpStream;
@@ -174,6 +175,24 @@ fn cache_hits_are_transparent_and_flagged() {
     let p1 = client.call(&Request::ping()).unwrap();
     let p2 = client.call(&Request::ping()).unwrap();
     assert!(!p1.cached && !p2.cached);
+}
+
+#[test]
+fn default_upper_shares_the_cache_entry_of_the_explicit_default() {
+    let server = Server::bind(motif_state(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let explicit = Request::explain(1, DEFAULT_UPPER, false);
+    let absent = Request { upper: None, ..explicit.clone() };
+    let first = client.call(&absent).unwrap();
+    let second = client.call(&explicit).unwrap();
+    assert!(first.ok && second.ok);
+    assert!(!first.cached, "first answer must be computed");
+    assert!(second.cached, "upper {DEFAULT_UPPER} must hit the entry an absent upper filled");
+    assert_eq!(first.body, second.body, "cache changed the bytes");
+    // `upper: 0` also means the default
+    let zero = client.call(&Request { upper: Some(0), ..explicit }).unwrap();
+    assert!(zero.ok && zero.cached, "upper 0 must hit the default-upper entry");
+    assert_eq!(zero.body, first.body);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! cargo run --release --example drug_discovery
 //! ```
 
-use gvex::core::{everify, ApproxGvex, Configuration};
+use gvex::core::{everify, Configuration, ExplainSession, GreedyStrategy, SelectionStrategy};
 use gvex::datasets::molecules::no2_pattern;
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
@@ -30,7 +30,10 @@ fn main() {
     );
     println!("classifier test accuracy: {:.3}", report.test_accuracy);
 
-    let gvex = ApproxGvex::new(Configuration::paper_mut(10));
+    // one session: the per-compound explanations and the view below share
+    // its forward traces and influence analyses
+    let session =
+        ExplainSession::new(&model, Configuration::paper_mut(10)).expect("valid configuration");
 
     // A medical analyst asks "why are these two compounds mutagens?"
     let mutagens: Vec<usize> =
@@ -38,7 +41,7 @@ fn main() {
 
     for &gi in &mutagens {
         let g = db.graph(gi);
-        let sub = gvex.explain_graph(&model, g, gi).expect("explanation exists");
+        let sub = GreedyStrategy.explain_graph(&session, g, gi).expect("explanation exists");
         println!(
             "\ncompound #{gi}: {} atoms; explanation keeps {} atoms: {:?}",
             g.num_nodes(),
@@ -57,7 +60,7 @@ fn main() {
         let groups = db.label_groups(&assigned);
         let test_mutagens: Vec<usize> =
             split.test.iter().copied().filter(|gi| groups.group(1).contains(gi)).collect();
-        gvex.explain_label_group(&model, &db, 1, &test_mutagens)
+        GreedyStrategy.explain_label_group(&session, &db, 1, &test_mutagens)
     };
 
     // Query 1: "which toxicophores occur in mutagens?" — scan the pattern

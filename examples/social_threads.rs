@@ -7,7 +7,9 @@
 //! ```
 
 use gvex::baselines::GnnExplainer;
-use gvex::core::{ApproxGvex, Configuration, CoverageBound, Explainer};
+use gvex::core::{
+    Configuration, CoverageBound, ExplainSession, Explainer, GreedyStrategy, GvexExplainer,
+};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
 use gvex::metrics::{fidelity_minus, fidelity_plus, sparsity};
@@ -34,7 +36,8 @@ fn main() {
     // online-discussion (label 0) — per-label bounds express exactly that.
     let config = Configuration::uniform(0.08, 0.25, 0.5, 0, 12)
         .with_bounds(vec![CoverageBound::new(0, 4), CoverageBound::new(2, 12)]);
-    let gvex = ApproxGvex::new(config);
+    // ApproxGVEX behind the `Explainer` trait it shares with the baselines
+    let gvex = GvexExplainer::new(GreedyStrategy, config.clone());
     let baseline = GnnExplainer { epochs: 40, ..Default::default() };
 
     println!("\nper-thread explanations (GVEX vs GNNExplainer):");
@@ -47,10 +50,8 @@ fn main() {
         let label = model.predict(g);
         let budget = if label == 1 { 12 } else { 4 };
         for (name, expl) in [
-            // `ApproxGvex` has an inherent `explain` over whole databases;
-            // the per-graph form comes from the `Explainer` trait.
-            ("GVEX", Explainer::explain(&gvex, &model, g, budget)),
-            ("GNNExplainer", Explainer::explain(&baseline, &model, g, budget)),
+            ("GVEX", gvex.explain(&model, g, budget)),
+            ("GNNExplainer", baseline.explain(&model, g, budget)),
         ] {
             println!(
                 "{gi:>6} {:<18} {:>6} {:>8.3} {:>8.3} {:>9.3}",
@@ -64,7 +65,8 @@ fn main() {
     }
 
     // Label-specific views: star hubs vs biclique fragments.
-    let views = gvex.explain(&model, &db, &[0, 1]);
+    let session = ExplainSession::new(&model, config).expect("valid configuration");
+    let views = session.explain(&GreedyStrategy, &db, &[0, 1]);
     for view in &views.views {
         let max_deg = view
             .patterns

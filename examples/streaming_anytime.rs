@@ -7,7 +7,7 @@
 //! ```
 
 use gvex::core::stream::GraphStream;
-use gvex::core::Configuration;
+use gvex::core::{Configuration, ExplainSession};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
 
@@ -32,7 +32,9 @@ fn main() {
     let g = db.graph(gi);
     println!("\nstreaming the {} nodes of test graph #{gi}...", g.num_nodes());
 
-    let mut stream = GraphStream::new(&model, g, gi, Configuration::paper_mut(8));
+    let session =
+        ExplainSession::new(&model, Configuration::paper_mut(8)).expect("valid configuration");
+    let mut stream = GraphStream::with_session(&session, g, gi);
 
     // Process the stream; after every quarter, peek at the anytime view.
     let n = g.num_nodes();

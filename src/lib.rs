@@ -5,7 +5,8 @@
 //!
 //! * [`datasets`] — generate a benchmark graph database,
 //! * [`gnn`] — train the GCN classifier,
-//! * [`core`] — produce explanation views with `ApproxGVEX` / `StreamGVEX`,
+//! * [`core`] — produce explanation views: an `ExplainSession` runs
+//!   ApproxGVEX (`GreedyStrategy`) or StreamGVEX (`StreamStrategy`),
 //! * [`metrics`] — score them (fidelity, sparsity, compression),
 //! * [`baselines`] — the four competitor explainers.
 //!
@@ -30,7 +31,10 @@ pub use gvex_store as store;
 
 /// Convenient glob-import of the most common types.
 pub mod prelude {
-    pub use gvex_core::{ApproxGvex, Configuration, ExplanationView, StreamGvex};
+    pub use gvex_core::{
+        Configuration, ExplainSession, ExplanationView, GreedyStrategy, SelectionStrategy,
+        StreamStrategy,
+    };
     pub use gvex_datasets::DatasetKind;
     pub use gvex_gnn::{GcnConfig, GcnModel, Split};
     pub use gvex_graph::{Graph, GraphDatabase};

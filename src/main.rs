@@ -22,6 +22,7 @@ use gvex::datasets::{dataset_stats, read_tu_dataset, write_tu_dataset, DatasetKi
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::GraphDatabase;
 use gvex::ingest::{generate, read_log, to_jsonl, write_log, GenProfile, IngestEngine};
+use gvex::serve::state::DEFAULT_UPPER;
 use gvex::serve::{Client, Request, ServeState, Server, ServerConfig};
 use gvex::store::{BuildInput, SectionId, Store};
 use std::collections::HashMap;
@@ -245,7 +246,8 @@ fn cmd_explain(flags: &HashMap<String, String>) {
         .get("labels")
         .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
         .unwrap_or_else(|| (0..db.num_classes()).collect());
-    let upper: usize = flags.get("upper").map_or(10, |s| s.parse().unwrap_or(10));
+    let upper: usize =
+        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
     let cfg = Configuration::paper_mut(upper);
 
     // One pooled session owns the model handle, forward-trace cache, and
@@ -462,7 +464,8 @@ fn cmd_ingest_gen(flags: &HashMap<String, String>) {
 fn cmd_ingest_replay(flags: &HashMap<String, String>) {
     let db_path = flags.get("db").unwrap_or_else(|| usage());
     let log_path = flags.get("mutations").unwrap_or_else(|| usage());
-    let upper: usize = flags.get("upper").map_or(10, |s| s.parse().unwrap_or(10));
+    let upper: usize =
+        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
     let interval: usize = flags.get("epoch-interval").map_or(8, |s| s.parse().unwrap_or(8)).max(1);
     let threads: usize = flags.get("threads").map_or(1, |s| s.parse().unwrap_or(1)).max(1);
     let store = open_store(db_path);
@@ -608,7 +611,8 @@ fn cmd_db_build(flags: &HashMap<String, String>) {
     let out = flags.get("out").unwrap_or_else(|| usage());
     let db = load_db(flags);
     let (model, _) = trained_model(flags, &db);
-    let upper: usize = flags.get("upper").map_or(10, |s| s.parse().unwrap_or(10));
+    let upper: usize =
+        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
     let cfg = Configuration::paper_mut(upper);
     let views_json = if flags.contains_key("no-views") {
         None

@@ -6,7 +6,7 @@
 //! views (and the realized influence matrix underneath them) are **bitwise
 //! identical** whether the pipeline runs on 1 thread or 4.
 
-use gvex::core::{explain_database, Configuration};
+use gvex::core::{Configuration, ExplainSession, ExplanationViewSet, GreedyStrategy};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::{Graph, GraphDatabase};
@@ -49,6 +49,23 @@ fn toy_database() -> GraphDatabase {
     db
 }
 
+/// ApproxGVEX views through the parallel driver of a fresh session, so
+/// every call recomputes from cold caches.
+fn explain_cold(
+    model: &GcnModel,
+    db: &GraphDatabase,
+    labels: &[usize],
+    cfg: &Configuration,
+    threads: usize,
+) -> ExplanationViewSet {
+    ExplainSession::new(model, cfg.clone()).expect("valid configuration").explain_parallel(
+        &GreedyStrategy,
+        db,
+        labels,
+        threads,
+    )
+}
+
 #[test]
 fn explain_database_identical_across_thread_counts() {
     let db = toy_database();
@@ -60,8 +77,8 @@ fn explain_database_identical_across_thread_counts() {
     let labels = vec![0usize, 1];
     let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
 
-    let serial = explain_database(&model, &db, &labels, &cfg, 1);
-    let parallel = explain_database(&model, &db, &labels, &cfg, 4);
+    let serial = explain_cold(&model, &db, &labels, &cfg, 1);
+    let parallel = explain_cold(&model, &db, &labels, &cfg, 4);
     let serial_json = serde_json::to_string(&serial).expect("serializable views");
     let parallel_json = serde_json::to_string(&parallel).expect("serializable views");
     assert_eq!(serial_json, parallel_json, "explanation views depend on thread count");
@@ -81,7 +98,7 @@ fn explain_database_identical_with_observation_enabled() {
     let labels = vec![0usize, 1];
     let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
 
-    let baseline = serde_json::to_string(&explain_database(&model, &db, &labels, &cfg, 1))
+    let baseline = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
         .expect("serializable views");
 
     // Only ever *enable* — the toggle is process-global and other tests in
@@ -90,9 +107,9 @@ fn explain_database_identical_with_observation_enabled() {
     // pair, and that too must leave the views untouched.
     gvex::obs::set_enabled(true);
     gvex::obs::trace::force_active(true);
-    let observed_1 = serde_json::to_string(&explain_database(&model, &db, &labels, &cfg, 1))
+    let observed_1 = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
         .expect("serializable views");
-    let observed_4 = serde_json::to_string(&explain_database(&model, &db, &labels, &cfg, 4))
+    let observed_4 = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 4))
         .expect("serializable views");
 
     assert_eq!(baseline, observed_1, "observation perturbed the serial pipeline");
@@ -196,7 +213,7 @@ fn store_served_explanations_identical_to_in_memory() {
         let labels: Vec<usize> = (0..db.num_classes()).collect();
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
 
-        let mem_json = serde_json::to_string(&explain_database(&model, &db, &labels, &cfg, 1))
+        let mem_json = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
             .expect("serializable views");
 
         let path = std::env::temp_dir().join(format!(
@@ -226,7 +243,7 @@ fn store_served_explanations_identical_to_in_memory() {
         );
         for threads in [1usize, 4] {
             let served =
-                serde_json::to_string(&explain_database(&smodel, &sdb, &labels, &cfg, threads))
+                serde_json::to_string(&explain_cold(&smodel, &sdb, &labels, &cfg, threads))
                     .expect("serializable views");
             assert_eq!(
                 mem_json,

@@ -3,7 +3,7 @@
 //! A plain GCN is structurally blind to edge types; the edge-gated model
 //! must learn to separate the classes, and GVEX must be able to explain it.
 
-use gvex::core::{ApproxGvex, Configuration};
+use gvex::core::{Configuration, ExplainSession, GreedyStrategy, SelectionStrategy};
 use gvex::gnn::{train_model, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::{Graph, GraphDatabase};
 use rand::SeedableRng;
@@ -72,10 +72,10 @@ fn gvex_explains_edge_gated_model() {
     let db = edge_type_db(8);
     let (model, acc) = train_variant(&db, true);
     assert!(acc >= 0.95);
-    let ag = ApproxGvex::new(Configuration::paper_mut(4));
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(4)).unwrap();
     let mut explained = 0;
     for gi in 0..4 {
-        if let Some(sub) = ag.explain_graph(&model, db.graph(gi), gi) {
+        if let Some(sub) = GreedyStrategy.explain_graph(&sess, db.graph(gi), gi) {
             assert!(sub.len() <= 4 && !sub.is_empty());
             explained += 1;
         }

@@ -6,10 +6,13 @@
 //! toxicophore must be recoverable, and the two-tier structure must
 //! compress.
 
-use gvex::core::{verify_view, ApproxGvex, Configuration};
+use gvex::core::{
+    verify_view, Configuration, ExplainSession, ExplanationViewSet, GreedyStrategy,
+    SelectionStrategy,
+};
 use gvex::datasets::molecules::no2_pattern;
 use gvex::datasets::{DatasetKind, Scale};
-use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
+use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::GraphDatabase;
 use gvex::iso::{matches, MatchOptions};
 
@@ -27,11 +30,26 @@ fn trained_mut() -> (GraphDatabase, gvex::gnn::GcnModel, Split) {
     (db, model, split)
 }
 
+/// A session under the paper's MUT configuration with bound `[0, upper]`.
+fn session(model: &GcnModel, upper: usize) -> ExplainSession<'_> {
+    ExplainSession::new(model, Configuration::paper_mut(upper)).expect("valid configuration")
+}
+
+/// ApproxGVEX's views for `labels` with bound `[0, upper]`.
+fn approx_views(
+    model: &GcnModel,
+    db: &GraphDatabase,
+    upper: usize,
+    labels: &[usize],
+) -> ExplanationViewSet {
+    session(model, upper).explain(&GreedyStrategy, db, labels)
+}
+
 #[test]
 fn views_satisfy_c1_and_c3() {
     let (db, model, _) = trained_mut();
     let cfg = Configuration::paper_mut(10);
-    let set = ApproxGvex::new(cfg.clone()).explain(&model, &db, &[0, 1]);
+    let set = approx_views(&model, &db, 10, &[0, 1]);
     assert_eq!(set.views.len(), 2);
     for view in &set.views {
         assert!(!view.subgraphs.is_empty(), "label {} got no subgraphs", view.label);
@@ -49,7 +67,7 @@ fn most_mutagen_subgraphs_are_consistent_and_counterfactual() {
     // nonmutagen). The paper accordingly generates explanations "for one
     // label of user's interest" (§6.2) — here, the mutagen class.
     let (db, model, _) = trained_mut();
-    let set = ApproxGvex::new(Configuration::paper_mut(10)).explain(&model, &db, &[1]);
+    let set = approx_views(&model, &db, 10, &[1]);
     let view = &set.views[0];
     let total = view.subgraphs.len();
     let valid = view.subgraphs.iter().filter(|s| s.is_valid_explanation()).count();
@@ -59,7 +77,7 @@ fn most_mutagen_subgraphs_are_consistent_and_counterfactual() {
         "only {valid}/{total} mutagen subgraphs satisfy both §2.2 properties"
     );
     // the nonmutagen view must still be *consistent* on a majority
-    let set0 = ApproxGvex::new(Configuration::paper_mut(10)).explain(&model, &db, &[0]);
+    let set0 = approx_views(&model, &db, 10, &[0]);
     let view0 = &set0.views[0];
     let consistent = view0.subgraphs.iter().filter(|s| s.consistent).count();
     assert!(
@@ -72,7 +90,7 @@ fn most_mutagen_subgraphs_are_consistent_and_counterfactual() {
 #[test]
 fn mutagen_view_recovers_toxicophore() {
     let (db, model, _) = trained_mut();
-    let set = ApproxGvex::new(Configuration::paper_mut(10)).explain(&model, &db, &[1]);
+    let set = approx_views(&model, &db, 10, &[1]);
     let view = &set.views[0];
     let no2 = no2_pattern();
     let opts = MatchOptions { induced: false, max_embeddings: 100 };
@@ -86,7 +104,7 @@ fn mutagen_view_recovers_toxicophore() {
 #[test]
 fn two_tier_structure_compresses() {
     let (db, model, _) = trained_mut();
-    let set = ApproxGvex::new(Configuration::paper_mut(10)).explain(&model, &db, &[0, 1]);
+    let set = approx_views(&model, &db, 10, &[0, 1]);
     for view in &set.views {
         assert!(
             view.compression() > 0.0,
@@ -100,7 +118,7 @@ fn two_tier_structure_compresses() {
 #[test]
 fn objective_is_sum_of_view_explainabilities() {
     let (db, model, _) = trained_mut();
-    let set = ApproxGvex::new(Configuration::paper_mut(8)).explain(&model, &db, &[0, 1]);
+    let set = approx_views(&model, &db, 8, &[0, 1]);
     let manual: f64 = set.views.iter().map(|v| v.explainability).sum();
     assert!((set.total_explainability() - manual).abs() < 1e-12);
     assert!(manual > 0.0);
@@ -110,14 +128,13 @@ fn objective_is_sum_of_view_explainabilities() {
 fn tighter_upper_bound_gives_smaller_subgraphs() {
     let (db, model, split) = trained_mut();
     let gi = split.test[0];
-    let small = ApproxGvex::new(Configuration::paper_mut(4))
-        .explain_graph(&model, db.graph(gi), gi)
-        .map(|s| s.len())
-        .unwrap_or(0);
-    let large = ApproxGvex::new(Configuration::paper_mut(16))
-        .explain_graph(&model, db.graph(gi), gi)
-        .map(|s| s.len())
-        .unwrap_or(0);
+    let size = |upper: usize| {
+        GreedyStrategy
+            .explain_graph(&session(&model, upper), db.graph(gi), gi)
+            .map(|s| s.len())
+            .unwrap_or(0)
+    };
+    let (small, large) = (size(4), size(16));
     assert!(small <= 4);
     assert!(large <= 16);
     assert!(small <= large);

@@ -4,7 +4,7 @@
 //! assumptions the metric and benchmark layers rely on.
 
 use gvex::baselines::{GStarX, GcfExplainer, GnnExplainer, SubgraphX};
-use gvex::core::{ApproxGvex, Configuration, Explainer, StreamGvex};
+use gvex::core::{Configuration, Explainer, GreedyStrategy, GvexExplainer, StreamStrategy};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
 use gvex::graph::GraphDatabase;
@@ -27,8 +27,8 @@ fn trained() -> (GraphDatabase, gvex::gnn::GcnModel, Split) {
 fn roster() -> Vec<Box<dyn Explainer>> {
     let cfg = Configuration::paper_mut(10);
     vec![
-        Box::new(ApproxGvex::new(cfg.clone())),
-        Box::new(StreamGvex::new(cfg)),
+        Box::new(GvexExplainer::new(GreedyStrategy, cfg.clone())),
+        Box::new(GvexExplainer::new(StreamStrategy, cfg)),
         Box::new(GnnExplainer { epochs: 20, ..Default::default() }),
         Box::new(SubgraphX { iterations: 10, shapley_samples: 5, ..Default::default() }),
         Box::new(GStarX { samples_per_node: 6, ..Default::default() }),

@@ -4,7 +4,9 @@
 //! generation. The paper claims applicability to "any GNN employing
 //! message-passing" (§6.1); this test holds the repository to it.
 
-use gvex::core::{ApproxGvex, Configuration, StreamGvex};
+use gvex::core::{
+    Configuration, ExplainSession, GreedyStrategy, SelectionStrategy, StreamStrategy,
+};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{
     train_model, trainer::TrainOptions, Aggregation, GcnConfig, GcnModel, Readout, Split,
@@ -38,17 +40,15 @@ fn gvex_explains_every_message_passing_variant() {
             "{aggregation:?}/{readout:?} failed to learn at all"
         );
 
-        let gvex_cfg = Configuration::paper_mut(8);
-        let ag = ApproxGvex::new(gvex_cfg.clone());
-        let sg = StreamGvex::new(gvex_cfg);
+        let sess = ExplainSession::new(&model, Configuration::paper_mut(8)).unwrap();
         let mut explained = 0;
         for &gi in split.test.iter().take(4) {
             let g = db.graph(gi);
-            if let Some(sub) = ag.explain_graph(&model, g, gi) {
+            if let Some(sub) = GreedyStrategy.explain_graph(&sess, g, gi) {
                 assert!(sub.len() <= 8 && !sub.is_empty());
                 explained += 1;
             }
-            if let Some((sub, patterns)) = sg.explain_graph_stream(&model, g, gi, None) {
+            if let Some((sub, patterns)) = StreamStrategy.stream_graph(&sess, g, gi, None) {
                 assert!(sub.len() <= 8);
                 // streaming must keep maintaining patterns regardless of model
                 let _ = patterns;

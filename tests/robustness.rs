@@ -3,7 +3,10 @@
 //! downstream user will eventually feed it.
 
 use gvex::core::NodeExplanation;
-use gvex::core::{ApproxGvex, Configuration, Explainer, StreamGvex};
+use gvex::core::{
+    Configuration, ExplainSession, Explainer, GreedyStrategy, GvexExplainer, SelectionStrategy,
+    StreamStrategy,
+};
 use gvex::gnn::{GcnConfig, GcnModel};
 use gvex::graph::{Graph, GraphDatabase};
 use gvex::influence::{InfluenceAnalysis, InfluenceMode};
@@ -24,12 +27,11 @@ fn single_node_graph_is_explainable() {
     b.add_node(0, &[1.0, 0.0]);
     let g = b.build();
     let m = model(2, 2);
-    let ag = ApproxGvex::new(Configuration::uniform(0.1, 0.25, 0.5, 0, 5));
-    if let Some(sub) = ag.explain_graph(&m, &g, 0) {
+    let sess = ExplainSession::new(&m, Configuration::uniform(0.1, 0.25, 0.5, 0, 5)).unwrap();
+    if let Some(sub) = GreedyStrategy.explain_graph(&sess, &g, 0) {
         assert_eq!(sub.nodes, vec![0]);
     }
-    let sg = StreamGvex::new(Configuration::uniform(0.1, 0.25, 0.5, 0, 5));
-    let _ = sg.explain_graph_stream(&m, &g, 0, None);
+    let _ = StreamStrategy.explain_graph(&sess, &g, 0);
 }
 
 #[test]
@@ -42,8 +44,8 @@ fn disconnected_graph_handled() {
     b.add_edge(3, 4, 0); // two components + isolated nodes
     let g = b.build();
     let m = model(2, 2);
-    let ag = ApproxGvex::new(Configuration::uniform(0.1, 0.25, 0.5, 0, 4));
-    if let Some(sub) = ag.explain_graph(&m, &g, 0) {
+    let sess = ExplainSession::new(&m, Configuration::uniform(0.1, 0.25, 0.5, 0, 4)).unwrap();
+    if let Some(sub) = GreedyStrategy.explain_graph(&sess, &g, 0) {
         assert!(sub.len() <= 4);
     }
 }
@@ -112,8 +114,8 @@ fn metrics_on_degenerate_explanations() {
 fn empty_database_explain_yields_empty_views() {
     let db = GraphDatabase::new(vec!["a".into(), "b".into()]);
     let m = model(2, 2);
-    let set =
-        ApproxGvex::new(Configuration::uniform(0.1, 0.25, 0.5, 0, 5)).explain(&m, &db, &[0, 1]);
+    let sess = ExplainSession::new(&m, Configuration::uniform(0.1, 0.25, 0.5, 0, 5)).unwrap();
+    let set = sess.explain(&GreedyStrategy, &db, &[0, 1]);
     assert_eq!(set.views.len(), 2);
     assert!(set.views.iter().all(|v| v.subgraphs.is_empty()));
     assert_eq!(set.total_explainability(), 0.0);
@@ -130,11 +132,12 @@ fn upper_bound_of_one_selects_single_node() {
     }
     let g = b.build();
     let m = model(2, 2);
-    let ag = ApproxGvex::new(Configuration::uniform(0.1, 0.25, 0.5, 1, 1));
-    if let Some(sub) = ag.explain_graph(&m, &g, 0) {
+    let cfg = Configuration::uniform(0.1, 0.25, 0.5, 1, 1);
+    let sess = ExplainSession::new(&m, cfg.clone()).unwrap();
+    if let Some(sub) = GreedyStrategy.explain_graph(&sess, &g, 0) {
         assert_eq!(sub.len(), 1);
     }
-    let e = Explainer::explain(&ag, &m, &g, 1);
+    let e = GvexExplainer::new(GreedyStrategy, cfg).explain(&m, &g, 1);
     assert!(e.len() <= 1);
 }
 

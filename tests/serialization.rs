@@ -2,7 +2,7 @@
 //! views as JSON, databases as TU files) must preserve behavior, not just
 //! structure.
 
-use gvex::core::{index_views, ApproxGvex, Configuration, ExplanationViewSet};
+use gvex::core::{index_views, Configuration, ExplainSession, ExplanationViewSet, GreedyStrategy};
 use gvex::datasets::{read_tu_dataset, write_tu_dataset, DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::GraphDatabase;
@@ -49,7 +49,8 @@ fn views_json_round_trip_is_queryable() {
         &split,
         TrainOptions { epochs: 60, lr: 0.01, seed: 22, patience: 0, ..Default::default() },
     );
-    let views = ApproxGvex::new(Configuration::paper_mut(8)).explain(&model, &db, &[1]);
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(8)).unwrap();
+    let views = sess.explain(&GreedyStrategy, &db, &[1]);
     let json = serde_json::to_string(&views).expect("views serialize");
     let back: ExplanationViewSet = serde_json::from_str(&json).expect("views parse");
 

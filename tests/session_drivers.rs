@@ -1,0 +1,186 @@
+//! Driver pins for [`ExplainSession`]: the sequential, parallel, and
+//! sharded drivers must agree on what every strategy selects, and the
+//! session-level verify/index entry points must match the free functions.
+//! Outputs are compared through serialized JSON, which preserves every
+//! `f64` bit.
+
+use gvex::core::{
+    index_views, verify_view, Configuration, ExactStrategy, ExplainSession, ExplanationViewSet,
+    GreedyStrategy,
+};
+use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
+use gvex::graph::{Graph, GraphDatabase};
+
+fn motif_graph(chain: usize) -> Graph {
+    let mut b = Graph::builder(false);
+    for _ in 0..chain {
+        b.add_node(0, &[1.0, 0.0, 0.0]);
+    }
+    let m1 = b.add_node(1, &[0.0, 1.0, 0.0]);
+    let m2 = b.add_node(2, &[0.0, 0.0, 1.0]);
+    for v in 1..chain {
+        b.add_edge(v - 1, v, 0);
+    }
+    b.add_edge(chain - 1, m1, 0);
+    b.add_edge(m1, m2, 0);
+    b.build()
+}
+
+fn plain_graph(chain: usize) -> Graph {
+    let mut b = Graph::builder(false);
+    for _ in 0..chain {
+        b.add_node(0, &[1.0, 0.0, 0.0]);
+    }
+    for v in 1..chain {
+        b.add_edge(v - 1, v, 0);
+    }
+    b.build()
+}
+
+fn motif_db() -> GraphDatabase {
+    let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
+    for i in 0..6 {
+        db.push(plain_graph(5 + i % 2), 0);
+        db.push(motif_graph(4 + i % 2), 1);
+    }
+    db
+}
+
+fn trained(db: &GraphDatabase) -> GcnModel {
+    let split =
+        Split { train: (0..db.len()).collect(), val: (0..db.len()).collect(), test: vec![] };
+    let cfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
+    let opts = TrainOptions { epochs: 60, lr: 0.01, seed: 1, patience: 0, ..Default::default() };
+    train(db, cfg, &split, opts).0
+}
+
+fn config() -> Configuration {
+    Configuration::uniform(0.05, 0.3, 0.5, 0, 3)
+}
+
+fn json(set: &ExplanationViewSet) -> String {
+    serde_json::to_string(set).expect("serializes")
+}
+
+/// Per-view `(graph index, selected nodes)` lists: the model-dependent
+/// part of a view set, independent of how patterns were mined.
+fn selections(set: &ExplanationViewSet) -> Vec<Vec<(usize, Vec<usize>)>> {
+    set.views
+        .iter()
+        .map(|v| v.subgraphs.iter().map(|s| (s.graph_index, s.nodes.clone())).collect())
+        .collect()
+}
+
+#[test]
+fn parallel_driver_matches_sequential_at_one_and_four_threads() {
+    let db = motif_db();
+    let model = trained(&db);
+    let sess = ExplainSession::new(&model, config()).unwrap();
+    let sequential = json(&sess.explain(&GreedyStrategy, &db, &[0, 1]));
+    for threads in [1usize, 4] {
+        // a fresh session per run, so the parallel driver computes from
+        // cold caches rather than replaying the sequential run's memos
+        let fresh = ExplainSession::new(&model, config()).unwrap();
+        let parallel = fresh.explain_parallel(&GreedyStrategy, &db, &[0, 1], threads);
+        assert_eq!(json(&parallel), sequential, "{threads}-thread run vs sequential driver");
+    }
+}
+
+#[test]
+fn sharded_selections_are_shard_invariant() {
+    let db = motif_db();
+    let model = trained(&db);
+    let sess = ExplainSession::new(&model, config()).unwrap();
+    let sequential = sess.explain(&GreedyStrategy, &db, &[0, 1]);
+    // 64 shards is more shards than graphs: most workers get nothing
+    for shards in [1usize, 3, 4, 64] {
+        let sharded = sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], shards);
+        // Psum runs per shard, so the pattern tier may legitimately differ
+        // from the sequential driver's — but the per-graph selections (the
+        // expensive, model-dependent part) must be shard-invariant.
+        assert_eq!(selections(&sharded), selections(&sequential), "at {shards} shards");
+        for (a, b) in sharded.views.iter().zip(&sequential.views) {
+            assert_eq!(a.label, b.label);
+            assert_eq!(a.explainability.to_bits(), b.explainability.to_bits());
+        }
+        assert!(!sharded.views[0].subgraphs.is_empty(), "no subgraphs at {shards} shards");
+    }
+    // shard-count invariance of the full serialized output
+    let one = json(&sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], 1));
+    let four = json(&sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], 4));
+    assert_eq!(one, four);
+}
+
+#[test]
+fn sharded_patterns_cover_every_subgraph() {
+    let db = motif_db();
+    let model = trained(&db);
+    let cfg = config();
+    let sess = ExplainSession::new(&model, cfg.clone()).unwrap();
+    for shards in [3usize, 4] {
+        let set = sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], shards);
+        for view in &set.views {
+            for s in &view.subgraphs {
+                assert!(
+                    gvex::core::pmatch(&view.patterns, &s.subgraph, &cfg),
+                    "merged patterns fail coverage on graph {} at {shards} shards",
+                    s.graph_index
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn exact_strategy_is_driver_invariant() {
+    let db = motif_db();
+    let model = trained(&db);
+    // tiny upper bound: ExactStrategy enumerates all subsets up to size 3
+    let sess = ExplainSession::new(&model, config()).unwrap();
+    let sequential = sess.explain(&ExactStrategy, &db, &[1]);
+    assert!(!sequential.views[0].subgraphs.is_empty(), "exact strategy found no explanations");
+    for threads in [1usize, 4] {
+        let parallel = sess.explain_parallel(&ExactStrategy, &db, &[1], threads);
+        assert_eq!(json(&parallel), json(&sequential), "exact strategy at {threads} threads");
+    }
+    for shards in [1usize, 4] {
+        let sharded = sess.explain_sharded(&ExactStrategy, &db, &[1], shards);
+        assert_eq!(selections(&sharded), selections(&sequential), "exact at {shards} shards");
+    }
+}
+
+#[test]
+fn query_index_through_session_matches_free_function() {
+    let db = motif_db();
+    let model = trained(&db);
+    let sess = ExplainSession::new(&model, config()).unwrap();
+    let views = sess.explain(&GreedyStrategy, &db, &[0, 1]);
+
+    let free = index_views(&views);
+    let through_session = sess.index_views(&views);
+    assert_eq!(free.patterns().len(), through_session.patterns().len());
+    for label in [0usize, 1] {
+        assert_eq!(free.patterns_of_label(label), through_session.patterns_of_label(label));
+        assert_eq!(
+            free.discriminative_patterns(label),
+            through_session.discriminative_patterns(label)
+        );
+    }
+    for pid in 0..free.patterns().len() {
+        assert_eq!(free.graphs_matching(pid), through_session.graphs_matching(pid));
+    }
+    // the index answers something non-trivial about the motif class
+    assert!(!through_session.patterns_of_label(1).is_empty());
+}
+
+#[test]
+fn session_verify_matches_free_verify() {
+    let db = motif_db();
+    let model = trained(&db);
+    let cfg = config();
+    let sess = ExplainSession::new(&model, cfg.clone()).unwrap();
+    let views = sess.explain(&GreedyStrategy, &db, &[0, 1]);
+    for view in &views.views {
+        assert_eq!(sess.verify(&db, view), verify_view(&model, &db, view, &cfg));
+    }
+}

@@ -4,7 +4,9 @@
 //! quality gaps").
 
 use gvex::core::stream::GraphStream;
-use gvex::core::{ApproxGvex, Configuration, StreamGvex};
+use gvex::core::{
+    Configuration, ExplainSession, GreedyStrategy, SelectionStrategy, StreamStrategy,
+};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
 use gvex::graph::GraphDatabase;
@@ -26,16 +28,15 @@ fn trained() -> (GraphDatabase, gvex::gnn::GcnModel, Split) {
 #[test]
 fn stream_explainability_within_factor_of_batch() {
     let (db, model, split) = trained();
-    let cfg = Configuration::paper_mut(8);
-    let ag = ApproxGvex::new(cfg.clone());
-    let sg = StreamGvex::new(cfg);
+    // one session serves both algorithms: the forward traces are shared
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(8)).unwrap();
     let mut batch_total = 0.0;
     let mut stream_total = 0.0;
     let mut explained = 0;
     for &gi in &split.test {
         let g = db.graph(gi);
-        if let (Some(b), Some((s, _))) =
-            (ag.explain_graph(&model, g, gi), sg.explain_graph_stream(&model, g, gi, None))
+        if let (Some(b), Some(s)) =
+            (GreedyStrategy.explain_graph(&sess, g, gi), StreamStrategy.explain_graph(&sess, g, gi))
         {
             batch_total += b.explainability;
             stream_total += s.explainability;
@@ -56,7 +57,8 @@ fn anytime_score_is_monotone_over_the_stream() {
     let (db, model, split) = trained();
     let gi = split.test[0];
     let g = db.graph(gi);
-    let mut stream = GraphStream::new(&model, g, gi, Configuration::paper_mut(8));
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(8)).unwrap();
+    let mut stream = GraphStream::with_session(&sess, g, gi);
     let mut last = 0.0_f64;
     for v in 0..g.num_nodes() {
         stream.arrive(v);
@@ -71,7 +73,8 @@ fn prefix_of_stream_yields_valid_partial_view() {
     let (db, model, split) = trained();
     let gi = split.test[0];
     let g = db.graph(gi);
-    let mut stream = GraphStream::new(&model, g, gi, Configuration::paper_mut(8));
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(8)).unwrap();
+    let mut stream = GraphStream::with_session(&sess, g, gi);
     // process only half the stream
     for v in 0..g.num_nodes() / 2 {
         stream.arrive(v);
@@ -85,15 +88,13 @@ fn prefix_of_stream_yields_valid_partial_view() {
 #[test]
 fn stream_and_batch_bound_compliance_across_testset() {
     let (db, model, split) = trained();
-    let cfg = Configuration::paper_mut(6);
-    let ag = ApproxGvex::new(cfg.clone());
-    let sg = StreamGvex::new(cfg);
+    let sess = ExplainSession::new(&model, Configuration::paper_mut(6)).unwrap();
     for &gi in &split.test {
         let g = db.graph(gi);
-        if let Some(b) = ag.explain_graph(&model, g, gi) {
+        if let Some(b) = GreedyStrategy.explain_graph(&sess, g, gi) {
             assert!(b.len() <= 6 && !b.is_empty());
         }
-        if let Some((s, _)) = sg.explain_graph_stream(&model, g, gi, None) {
+        if let Some(s) = StreamStrategy.explain_graph(&sess, g, gi) {
             assert!(s.len() <= 6 && !s.is_empty());
         }
     }
