@@ -1190,12 +1190,9 @@ fn bench_serve_qps(path: &std::path::Path) -> ServeQpsBench {
     // Warm arm: one daemon, CLIENTS concurrent connections replaying the
     // schedule round-robin, per-call latency recorded client-side.
     let state = ServeState::open(path).expect("benchmark store opens");
-    let server = Server::bind(
-        state,
-        "127.0.0.1:0",
-        ServerConfig { workers: WORKERS, ..ServerConfig::default() },
-    )
-    .expect("bind benchmark server");
+    let defaults = ServerConfig::for_classes(state.db().num_classes());
+    let server = Server::bind(state, "127.0.0.1:0", ServerConfig { workers: WORKERS, ..defaults })
+        .expect("bind benchmark server");
     let addr = server.addr();
     let templates = std::sync::Arc::new(templates);
     let schedule = std::sync::Arc::new(schedule);
@@ -1256,12 +1253,8 @@ fn bench_serve_qps(path: &std::path::Path) -> ServeQpsBench {
     const MIXED_BATCH: usize = 3;
     let state = ServeState::open(path).expect("benchmark store opens");
     let muts = gvex_ingest::generate(state.db(), MIXED_MUTATIONS, 11, GenProfile::Localized);
-    let server = Server::bind(
-        state,
-        "127.0.0.1:0",
-        ServerConfig { workers: WORKERS, ..ServerConfig::default() },
-    )
-    .expect("bind mixed benchmark server");
+    let server = Server::bind(state, "127.0.0.1:0", ServerConfig { workers: WORKERS, ..defaults })
+        .expect("bind mixed benchmark server");
     let addr = server.addr();
     let t0 = Instant::now();
     let writer = {

@@ -226,7 +226,7 @@ impl SelectionStrategy for GreedyStrategy {
 }
 
 fn is_adjacent_to(g: &Graph, v: NodeId, selected: &[bool]) -> bool {
-    g.neighbors(v).iter().chain(g.in_neighbors(v)).any(|&(u, _)| selected[u])
+    g.neighbors(v).chain(g.in_neighbors(v)).any(|(u, _)| selected[u])
 }
 
 #[cfg(test)]

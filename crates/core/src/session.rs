@@ -12,15 +12,12 @@
 //! read through the session, so N algorithms × M graphs share one set of
 //! caches.
 //!
-//! The drivers mirror the three deployment shapes:
+//! The two drivers mirror the two deployment shapes:
 //!
 //! * [`ExplainSession::explain`] — sequential, one label group at a time,
 //! * [`ExplainSession::explain_parallel`] — the §A.7 rayon fan-out with the
 //!   adaptive cost gate (order-preserving, bitwise identical across thread
-//!   counts),
-//! * [`ExplainSession::explain_sharded`] — a coordinator/worker protocol
-//!   for the paper's distributed future-work item (§7): each shard
-//!   summarizes locally; the coordinator merges in shard order.
+//!   counts).
 //!
 //! Determinism: the per-graph influence memo is keyed by the same content
 //! fingerprint the trace cache uses *plus the graph index*, because the
@@ -40,7 +37,7 @@ use gvex_iso::vf2::are_isomorphic;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Default bound on memoized per-graph influence analyses (matches the
 /// trace cache's default).
@@ -265,9 +262,8 @@ impl<'m> ExplainSession<'m> {
     }
 
     /// Assembles a view from pre-merged patterns: plugs coverage gaps with
-    /// singleton patterns and recomputes edge loss — the completion step
-    /// shared by the streaming label-group assembly and the sharded
-    /// coordinator.
+    /// singleton patterns and recomputes edge loss — the completion step of
+    /// the streaming label-group assembly.
     pub fn assemble_view(
         &self,
         label: usize,
@@ -382,95 +378,6 @@ impl<'m> ExplainSession<'m> {
             ExplanationViewSet { views }
         })
     }
-
-    /// Sharded ("distributed") driver: `shards` workers each own a
-    /// contiguous slice of the database, explain their members, and
-    /// summarize *locally*, so only patterns and subgraphs leave a worker;
-    /// the coordinator merges shard results per label in shard order,
-    /// deduplicating patterns up to isomorphism and re-checking coverage.
-    /// Workers talk to the coordinator over channels only, with no shared
-    /// mutable state, so the protocol lifts to processes or machines
-    /// unchanged. Deterministic: the merged result does not depend on
-    /// worker scheduling.
-    pub fn explain_sharded(
-        &self,
-        strategy: &dyn SelectionStrategy,
-        db: &GraphDatabase,
-        labels_of_interest: &[usize],
-        shards: usize,
-    ) -> ExplanationViewSet {
-        let shards = shards.max(1);
-        let _req = gvex_obs::context::ReqScope::begin("session.explain");
-        let assigned = crate::parallel::predict_all(self.model, db);
-        let groups = db.label_groups(&assigned);
-
-        // shard boundaries over graph indices
-        let n = db.len();
-        let per_shard = n.div_ceil(shards);
-
-        let (tx, rx) = mpsc::channel::<(usize, ShardResult)>();
-        std::thread::scope(|scope| {
-            for shard_id in 0..shards {
-                let lo = shard_id * per_shard;
-                let hi = ((shard_id + 1) * per_shard).min(n);
-                let tx = tx.clone();
-                let groups = &groups;
-                let req_tag = gvex_obs::context::current();
-                scope.spawn(move || {
-                    let _req = gvex_obs::context::adopt(req_tag);
-                    for &label in labels_of_interest {
-                        // this shard's members of the label group
-                        let members: Vec<usize> = groups
-                            .group(label)
-                            .iter()
-                            .copied()
-                            .filter(|&gi| gi >= lo && gi < hi)
-                            .collect();
-                        let subgraphs: Vec<ExplanationSubgraph> = members
-                            .iter()
-                            .filter_map(|&gi| strategy.explain_graph(self, db.graph(gi), gi))
-                            .collect();
-                        // local summarization: only patterns + subgraphs
-                        // leave the worker
-                        let refs: Vec<&Graph> = subgraphs.iter().map(|s| &s.subgraph).collect();
-                        let ps = psum(&refs, &self.cfg.mining, self.cfg.matching);
-                        let _ = tx.send((
-                            shard_id,
-                            ShardResult { label, subgraphs, patterns: ps.patterns },
-                        ));
-                    }
-                });
-            }
-            drop(tx);
-
-            // coordinator: collect everything, then merge in shard order
-            let mut inbox: Vec<(usize, ShardResult)> = rx.iter().collect();
-            inbox.sort_by_key(|&(shard, ref r)| (r.label, shard));
-
-            let views = labels_of_interest
-                .iter()
-                .map(|&label| {
-                    let mut subgraphs: Vec<ExplanationSubgraph> = Vec::new();
-                    let mut patterns: Vec<Graph> = Vec::new();
-                    for (_, r) in inbox.iter().filter(|(_, r)| r.label == label) {
-                        subgraphs.extend(r.subgraphs.iter().cloned());
-                        merge_patterns(&mut patterns, r.patterns.iter().cloned());
-                    }
-                    subgraphs.sort_by_key(|s| s.graph_index);
-                    self.assemble_view(label, subgraphs, patterns)
-                })
-                .collect();
-            ExplanationViewSet { views }
-        })
-    }
-}
-
-/// What a shard worker sends back for one label: its shard's explanation
-/// subgraphs plus the locally mined pattern set.
-struct ShardResult {
-    label: usize,
-    subgraphs: Vec<ExplanationSubgraph>,
-    patterns: Vec<Graph>,
 }
 
 /// `ℳ(G_s) = label` on the zero-copy induced view (no subgraph clone).
@@ -524,8 +431,8 @@ pub(crate) fn merge_patterns(into: &mut Vec<Graph>, from: impl IntoIterator<Item
 }
 
 /// View assembly from pre-merged patterns: covers any node the patterns
-/// miss with a singleton, then recomputes edge loss — shared by the
-/// streaming label-group assembly and the sharded coordinator.
+/// miss with a singleton, then recomputes edge loss — the streaming
+/// label-group assembly's completion step.
 pub(crate) fn assemble_view(
     label: usize,
     subgraphs: Vec<ExplanationSubgraph>,

@@ -1,40 +1,43 @@
-//! Borrowed compressed-sparse-row graphs over raw columnar slices.
+//! Compressed sparse rows over flat columns: the one graph layout.
 //!
-//! The `.gvex` store (crate `gvex-store`) lays every graph of a database
-//! out as flat little-endian arrays — node types, a feature matrix,
-//! and CSR adjacency (`indptr` / `targets` / `etypes`) — so a memory-mapped
-//! file can be served without deserialization. [`CsrGraph`] is the borrowed
-//! view over one graph's slices of those arrays: construction is a handful
-//! of pointer/length pairs, never a copy.
+//! Every graph is stored as the columns the `.gvex` store (crate
+//! `gvex-store`) writes: node types, a row-major feature matrix, and CSR
+//! adjacency (`indptr` / `targets` / `etypes`), plus in-direction arrays
+//! only for directed graphs. An owned [`Graph`] holds one graph's columns;
+//! [`CsrColumns`] holds a whole database's back to back, exactly as the
+//! store lays them out. [`CsrGraph`] is the borrowed view over either — a
+//! handful of pointer/length pairs, never a copy — and the one place the
+//! read accessors (neighbors, degrees, edge lookups) are implemented:
+//! [`Graph::csr`] lends an owned graph's columns, and the store lends its
+//! mapped pages.
 //!
-//! A `CsrGraph` plugs into the same consumers as an owned [`Graph`]: it
-//! converts into a full [`GraphRef`](crate::GraphRef) view (`From` impl in
-//! `view.rs`), so GCN propagation, batched inference, and the match index
-//! run directly over the mapped bytes. [`CsrGraph::to_graph`] materializes
-//! through the ordinary [`GraphBuilder`] path, which makes the round trip
-//! exact: a graph stored from a built [`Graph`] and rebuilt from its CSR
-//! slices is bitwise identical (the builder sorts and dedups, and the
-//! stored adjacency is already sorted and deduped).
+//! Moving a graph between an owned `Graph` and database-wide columns copies
+//! columns and rebases `indptr` ([`CsrColumns::push`],
+//! [`CsrGraph::to_graph`]); nothing is re-sorted, so a round trip returns
+//! the graph that was written, column for column.
 //!
-//! Invariants callers must uphold (the store validates them at open):
+//! Invariants (the builder and `Graph`'s decoder establish them; the store
+//! validates lengths and offsets at open):
 //!
-//! * `indptr` has `num_nodes + 1` entries, is non-decreasing, and
+//! * `indptr` has `num_nodes + 1` non-decreasing entries, and
 //!   `indptr[i] - indptr[0]` indexes into `targets` / `etypes`;
-//! * `targets` holds *graph-local* node ids, each `< num_nodes`, sorted
-//!   within each node's range with at most one entry per neighbor;
-//! * `features.len() == num_nodes * feature_dim`;
-//! * for undirected graphs the in- and out-slices alias the same arrays.
+//! * `targets` holds *graph-local* node ids `< num_nodes`, strictly
+//!   increasing within each node's range, never the node itself;
+//! * the in-direction arrays are the transpose of the out-direction ones;
+//!   for undirected graphs they alias them;
+//! * `features.len() == num_nodes * feature_dim`.
 
-use crate::graph::{EdgeTypeId, Graph, GraphBuilder, NodeId, NodeTypeId};
+use crate::graph::{EdgeTypeId, Graph, NodeId, NodeTypeId};
+use gvex_linalg::Matrix;
 
 /// One direction of CSR adjacency: `indptr` windows into parallel
-/// `targets` / `etypes` arrays. `indptr` values are *global* (file-wide)
+/// `targets` / `etypes` arrays. `indptr` values may be *global* (file-wide)
 /// edge offsets; the slice's first entry is the base the local ranges are
 /// measured from, so a per-graph view is three subslices and no arithmetic
 /// at construction time.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrAdjacency<'a> {
-    /// `num_nodes + 1` non-decreasing edge offsets (global).
+    /// `num_nodes + 1` non-decreasing edge offsets.
     pub indptr: &'a [u64],
     /// Neighbor node ids (graph-local), concatenated per node.
     pub targets: &'a [u32],
@@ -43,7 +46,7 @@ pub struct CsrAdjacency<'a> {
 }
 
 impl<'a> CsrAdjacency<'a> {
-    /// The local `targets`/`etypes` range of node `v`.
+    /// The `targets` / `etypes` index range of `v`'s row.
     #[inline]
     fn range(&self, v: NodeId) -> std::ops::Range<usize> {
         let base = self.indptr[0];
@@ -52,31 +55,123 @@ impl<'a> CsrAdjacency<'a> {
 
     /// Neighbor ids and edge types of `v` as parallel slices.
     #[inline]
-    pub fn row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
+    fn row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
         let r = self.range(v);
         (&self.targets[r.clone()], &self.etypes[r])
     }
+}
 
-    /// Total adjacency entries (each undirected edge appears twice).
+/// One direction of a single graph's owned adjacency, `indptr` from 0:
+/// the storage behind [`Graph`].
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct AdjColumns {
+    pub(crate) indptr: Vec<u64>,
+    pub(crate) targets: Vec<u32>,
+    pub(crate) etypes: Vec<u32>,
+}
+
+impl AdjColumns {
+    /// No rows yet: `indptr` holds only its leading 0.
+    pub(crate) fn new() -> Self {
+        Self { indptr: vec![0], targets: Vec::new(), etypes: Vec::new() }
+    }
+
+    /// Rows for `n` nodes from `(source, target, type)` triples sorted by
+    /// source, then target.
+    pub(crate) fn from_sorted(n: usize, entries: &[(NodeId, NodeId, EdgeTypeId)]) -> Self {
+        let mut cols = Self::new();
+        let mut at = 0;
+        for u in 0..n {
+            while at < entries.len() && entries[at].0 == u {
+                cols.targets.push(entries[at].1 as u32);
+                cols.etypes.push(entries[at].2);
+                at += 1;
+            }
+            cols.indptr.push(at as u64);
+        }
+        cols
+    }
+
+    /// The transpose over `n` nodes (the in-rows of these out-rows); each
+    /// row comes out sorted by source.
+    pub(crate) fn transpose(&self, n: usize) -> Self {
+        let mut indptr = vec![0u64; n + 1];
+        for &v in &self.targets {
+            indptr[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            indptr[v + 1] += indptr[v];
+        }
+        let mut next: Vec<usize> = indptr[..n].iter().map(|&p| p as usize).collect();
+        let mut targets = vec![0; self.targets.len()];
+        let mut etypes = vec![0; self.targets.len()];
+        for u in 0..n {
+            for i in self.indptr[u] as usize..self.indptr[u + 1] as usize {
+                let slot = &mut next[self.targets[i] as usize];
+                targets[*slot] = u as u32;
+                etypes[*slot] = self.etypes[i];
+                *slot += 1;
+            }
+        }
+        Self { indptr, targets, etypes }
+    }
+
+    /// The rows of `old_of_new`'s nodes in `adj`, keeping only neighbors
+    /// `new_of_old` retains, renumbered and re-sorted by new id.
+    fn induced(adj: CsrAdjacency<'_>, old_of_new: &[NodeId], new_of_old: &[NodeId]) -> Self {
+        let mut cols = Self::new();
+        let mut row: Vec<(u32, u32)> = Vec::new();
+        for &old in old_of_new {
+            let (targets, etypes) = adj.row(old);
+            row.clear();
+            for (&v, &t) in targets.iter().zip(etypes) {
+                let new = new_of_old[v as usize];
+                if new != usize::MAX {
+                    row.push((new as u32, t));
+                }
+            }
+            row.sort_unstable();
+            cols.targets.extend(row.iter().map(|&(v, _)| v));
+            cols.etypes.extend(row.iter().map(|&(_, t)| t));
+            cols.indptr.push(cols.targets.len() as u64);
+        }
+        cols
+    }
+
+    /// The borrowed view of these rows.
     #[inline]
-    pub fn num_entries(&self) -> usize {
-        self.targets.len()
+    pub(crate) fn as_csr(&self) -> CsrAdjacency<'_> {
+        CsrAdjacency { indptr: &self.indptr, targets: &self.targets, etypes: &self.etypes }
     }
 }
 
+/// Appends `adj`'s rows to flat CSR arrays whose `indptr` already holds
+/// its leading entry, rebasing the offsets onto the arrays' end.
+fn append(
+    indptr: &mut Vec<u64>,
+    targets: &mut Vec<u32>,
+    etypes: &mut Vec<u32>,
+    adj: CsrAdjacency<'_>,
+) {
+    let (base, end) = (adj.indptr[0], targets.len() as u64);
+    indptr.extend(adj.indptr[1..].iter().map(|&p| p - base + end));
+    targets.extend_from_slice(adj.targets);
+    etypes.extend_from_slice(adj.etypes);
+}
+
 /// A borrowed CSR graph: every field is a slice into storage owned
-/// elsewhere (typically a memory-mapped `.gvex` file). `Copy` — passing one
-/// around costs a few pointer/length pairs.
+/// elsewhere (an owned [`Graph`] or a memory-mapped `.gvex` file). `Copy` —
+/// passing one around costs a few pointer/length pairs.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrGraph<'a> {
-    directed: bool,
-    feature_dim: usize,
-    node_types: &'a [NodeTypeId],
+    pub(crate) directed: bool,
+    pub(crate) feature_dim: usize,
+    pub(crate) node_types: &'a [NodeTypeId],
     /// Row-major `num_nodes × feature_dim` feature matrix.
-    features: &'a [f32],
-    out: CsrAdjacency<'a>,
+    pub(crate) features: &'a [f32],
+    pub(crate) out: CsrAdjacency<'a>,
     /// Aliases `out` for undirected graphs.
-    inn: CsrAdjacency<'a>,
+    pub(crate) inn: CsrAdjacency<'a>,
 }
 
 impl<'a> CsrGraph<'a> {
@@ -115,14 +210,13 @@ impl<'a> CsrGraph<'a> {
         self.node_types.len()
     }
 
-    /// Number of edges `|E|` (each undirected edge counted once, exactly
-    /// like [`Graph::num_edges`]).
+    /// Number of edges `|E|` (each undirected edge counted once).
     #[inline]
     pub fn num_edges(&self) -> usize {
         if self.directed {
-            self.out.num_entries()
+            self.out.targets.len()
         } else {
-            self.out.num_entries() / 2
+            self.out.targets.len() / 2
         }
     }
 
@@ -162,68 +256,84 @@ impl<'a> CsrGraph<'a> {
         &self.features[v * self.feature_dim..(v + 1) * self.feature_dim]
     }
 
-    /// Out-neighbors of `v` as parallel `(targets, etypes)` slices, sorted
-    /// by neighbor id (the stored order).
+    /// Out-neighbors of `v` with edge types, sorted by neighbor id. For
+    /// undirected graphs this is simply the neighbor list.
     #[inline]
-    pub fn out_row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
-        self.out.row(v)
-    }
-
-    /// In-neighbors of `v` as parallel slices (equals [`Self::out_row`]
-    /// for undirected graphs).
-    #[inline]
-    pub fn in_row(&self, v: NodeId) -> (&'a [u32], &'a [u32]) {
-        self.inn.row(v)
-    }
-
-    /// Out-neighbors of `v` with edge types, in stored (sorted) order.
     pub fn neighbors(&self, v: NodeId) -> CsrNeighbors<'a> {
         let (t, e) = self.out.row(v);
         CsrNeighbors { targets: t.iter(), etypes: e.iter() }
     }
 
-    /// In-neighbors of `v` with edge types.
+    /// In-neighbors of `v` with edge types, sorted by neighbor id (equals
+    /// [`Self::neighbors`] for undirected graphs).
+    #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> CsrNeighbors<'a> {
         let (t, e) = self.inn.row(v);
         CsrNeighbors { targets: t.iter(), etypes: e.iter() }
     }
 
-    /// Out-degree of `v`.
+    /// Degree of `v` (out-degree for directed graphs).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.out.range(v).len()
+        (self.out.indptr[v + 1] - self.out.indptr[v]) as usize
     }
 
-    /// The type of the edge `u → v` if present (binary search, like
-    /// [`Graph::edge_type`]).
+    /// In-degree of `v` (equals [`Self::degree`] for undirected graphs).
+    #[inline]
+    pub fn in_degree(&self, v: NodeId) -> usize {
+        (self.inn.indptr[v + 1] - self.inn.indptr[v]) as usize
+    }
+
+    /// The type of the edge `u → v` if present (binary search).
+    #[inline]
     pub fn edge_type(&self, u: NodeId, v: NodeId) -> Option<EdgeTypeId> {
-        let (targets, etypes) = self.out.row(u);
-        targets.binary_search(&(v as u32)).ok().map(|i| etypes[i])
+        let r = self.out.range(u);
+        let i = self.out.targets[r.clone()].binary_search(&(v as u32)).ok()?;
+        Some(self.out.etypes[r.start + i])
     }
 
-    /// True if the edge `u → v` exists.
+    /// True if the edge `u → v` exists (`u — v` for undirected graphs).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.edge_type(u, v).is_some()
     }
 
-    /// Materializes an owned [`Graph`] through the ordinary builder path.
-    /// Because the stored adjacency came from a built graph (sorted,
-    /// deduped, no self-loops), the result is bitwise identical to the
-    /// graph that was stored.
+    /// Copies the columns into an owned [`Graph`], rebasing `indptr` to 0.
+    /// The result equals the graph whose columns these are.
     pub fn to_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new(self.directed);
-        for v in 0..self.num_nodes() {
-            b.add_node(self.node_type(v), self.feature_row(v));
+        let copy = |adj| {
+            let mut cols = AdjColumns::new();
+            append(&mut cols.indptr, &mut cols.targets, &mut cols.etypes, adj);
+            cols
+        };
+        Graph {
+            node_types: self.node_types.to_vec(),
+            features: Matrix::from_vec(self.num_nodes(), self.feature_dim, self.features.to_vec()),
+            out: copy(self.out),
+            inn: self.directed.then(|| copy(self.inn)),
         }
-        for u in 0..self.num_nodes() {
-            for (v, t) in self.neighbors(u) {
-                if self.directed || u < v {
-                    b.add_edge(u, v, t);
-                }
-            }
+    }
+
+    /// The owned subgraph induced by an interned node mapping — the one
+    /// materialization behind [`Graph::induced_subgraph`] and
+    /// [`GraphRef::to_graph`](crate::GraphRef::to_graph).
+    pub(crate) fn induced_graph(&self, old_of_new: &[NodeId], new_of_old: &[NodeId]) -> Graph {
+        let mut features = Vec::with_capacity(old_of_new.len() * self.feature_dim);
+        for &old in old_of_new {
+            features.extend_from_slice(self.feature_row(old));
         }
-        b.build()
+        Graph {
+            node_types: old_of_new.iter().map(|&v| self.node_types[v]).collect(),
+            features: Matrix::from_vec(old_of_new.len(), self.feature_dim, features),
+            out: AdjColumns::induced(self.out, old_of_new, new_of_old),
+            inn: self.directed.then(|| AdjColumns::induced(self.inn, old_of_new, new_of_old)),
+        }
+    }
+}
+
+impl<'a> From<&'a Graph> for CsrGraph<'a> {
+    fn from(g: &'a Graph) -> Self {
+        g.csr()
     }
 }
 
@@ -245,6 +355,13 @@ impl Iterator for CsrNeighbors<'_> {
         Some((*v as NodeId, *t))
     }
 
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<Self::Item> {
+        let v = self.targets.nth(n)?;
+        let t = self.etypes.nth(n)?;
+        Some((*v as NodeId, *t))
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.targets.size_hint()
     }
@@ -253,10 +370,10 @@ impl Iterator for CsrNeighbors<'_> {
 impl ExactSizeIterator for CsrNeighbors<'_> {}
 
 /// Owned columnar CSR arrays for a whole graph database, in exactly the
-/// layout the `.gvex` sections use. This is the *write-side* encoder (and
-/// the test harness for the borrowed view): [`CsrColumns::push`] appends a
-/// built [`Graph`], and [`CsrColumns::graph`] hands back the borrowed
-/// [`CsrGraph`] over the accumulated arrays.
+/// layout the `.gvex` sections use. This is the *write-side* encoder:
+/// [`CsrColumns::push`] appends a graph's columns, and
+/// [`CsrColumns::graph`] hands back the borrowed [`CsrGraph`] over the
+/// accumulated arrays.
 #[derive(Clone, Debug, Default)]
 pub struct CsrColumns {
     /// Cumulative node counts, one entry per graph plus the leading 0.
@@ -301,35 +418,20 @@ impl CsrColumns {
         self.node_ptr.len() - 1
     }
 
-    /// Total node count across all pushed graphs.
-    pub fn total_nodes(&self) -> usize {
-        self.node_types.len()
-    }
-
-    /// Appends one built graph's columns.
+    /// Appends one graph's columns.
     ///
     /// # Panics
     /// If the graph's directedness or feature dimensionality differs from
-    /// the column set's, or a node id exceeds `u32` range.
+    /// the column set's.
     pub fn push(&mut self, g: &Graph) {
         assert_eq!(g.is_directed(), self.directed, "mixed directedness in one database");
         assert_eq!(g.feature_dim(), self.feature_dim, "mixed feature dims in one database");
-        assert!(g.num_nodes() <= u32::MAX as usize, "graph too large for u32 node ids");
-        for v in 0..g.num_nodes() {
-            self.node_types.push(g.node_type(v));
-            self.features.extend_from_slice(g.features().row(v));
-            for &(w, t) in g.neighbors(v) {
-                self.out_targets.push(w as u32);
-                self.out_etypes.push(t);
-            }
-            self.out_indptr.push(self.out_targets.len() as u64);
-            if self.directed {
-                for &(w, t) in g.in_neighbors(v) {
-                    self.in_targets.push(w as u32);
-                    self.in_etypes.push(t);
-                }
-                self.in_indptr.push(self.in_targets.len() as u64);
-            }
+        let c = g.csr();
+        self.node_types.extend_from_slice(c.node_types);
+        self.features.extend_from_slice(c.features);
+        append(&mut self.out_indptr, &mut self.out_targets, &mut self.out_etypes, c.out);
+        if self.directed {
+            append(&mut self.in_indptr, &mut self.in_targets, &mut self.in_etypes, c.inn);
         }
         self.node_ptr.push(self.node_types.len() as u64);
     }
@@ -411,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn accessors_match_owned_graph() {
+    fn database_columns_match_the_owned_graph() {
         let g = diamond();
         let mut cols = CsrColumns::new(false, 2);
         cols.push(&g);
@@ -423,10 +525,8 @@ mod tests {
             assert_eq!(c.node_type(v), g.node_type(v));
             assert_eq!(c.feature_row(v), g.features().row(v));
             assert_eq!(c.degree(v), g.degree(v));
-            let nbrs: Vec<_> = c.neighbors(v).collect();
-            assert_eq!(nbrs, g.neighbors(v).to_vec(), "node {v}");
-            let inn: Vec<_> = c.in_neighbors(v).collect();
-            assert_eq!(inn, g.in_neighbors(v).to_vec(), "node {v} (in)");
+            assert!(c.neighbors(v).eq(g.neighbors(v)), "node {v}");
+            assert!(c.in_neighbors(v).eq(g.in_neighbors(v)), "node {v} (in)");
         }
         for u in 0..g.num_nodes() {
             for v in 0..g.num_nodes() {
@@ -444,8 +544,7 @@ mod tests {
         assert!(c.has_edge(0, 1));
         assert!(!c.has_edge(1, 0));
         for v in 0..4 {
-            let inn: Vec<_> = c.in_neighbors(v).collect();
-            assert_eq!(inn, g.in_neighbors(v).to_vec());
+            assert!(c.in_neighbors(v).eq(g.in_neighbors(v)));
         }
         assert_eq!(c.to_graph(), g);
     }
@@ -469,6 +568,21 @@ mod tests {
         // the second graph's targets are graph-local
         let nbrs: Vec<_> = cols.graph(1).neighbors(0).collect();
         assert_eq!(nbrs, vec![(1, 3)]);
+    }
+
+    #[test]
+    fn transpose_sorts_in_rows_by_source() {
+        let g = chain_directed(4);
+        let back = g.inn.as_ref().unwrap().transpose(4);
+        assert_eq!(back, g.out, "transposing twice restores the out rows");
+    }
+
+    #[test]
+    fn neighbors_nth_skips_in_constant_steps() {
+        let g = diamond();
+        assert_eq!(g.neighbors(0).nth(1), Some((2, 1)));
+        assert_eq!(g.neighbors(0).nth(2), None);
+        assert_eq!(g.neighbors(0).len(), 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The core typed, attributed graph structure.
 
+use crate::csr::{AdjColumns, CsrGraph, CsrNeighbors};
 use gvex_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Index of a node within one [`Graph`].
 pub type NodeId = usize;
@@ -12,21 +13,24 @@ pub type EdgeTypeId = u32;
 
 /// A connected or disconnected attributed graph `G = (V, E, T, L)`.
 ///
-/// Nodes are dense indices `0..n`. Adjacency is stored as per-node sorted
-/// neighbor lists, once for out-edges and once for in-edges; for undirected
-/// graphs the two lists are identical and every undirected edge is counted
-/// once in [`Graph::num_edges`].
+/// Nodes are dense indices `0..n`. The graph owns its columns in the one
+/// layout of [`crate::csr`] — the layout the `.gvex` store writes: node
+/// types, a dense `|V| × D` feature matrix, and sorted CSR adjacency, with
+/// in-direction rows only when directed. The read accessors are
+/// implemented once, on the [`CsrGraph`] that [`Graph::csr`] lends; the
+/// methods here forward to it. Every undirected edge is counted once in
+/// [`Graph::num_edges`].
 ///
-/// Node features `T(v)` live in a dense `|V| × D` matrix (`D` may be zero for
-/// datasets without features, mirroring REDDIT-BINARY / MALNET in Table 3).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// `D` may be zero for datasets without features, mirroring
+/// REDDIT-BINARY / MALNET in Table 3.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Graph {
-    directed: bool,
-    node_types: Vec<NodeTypeId>,
-    features: Matrix,
-    out_adj: Vec<Vec<(NodeId, EdgeTypeId)>>,
-    in_adj: Vec<Vec<(NodeId, EdgeTypeId)>>,
-    num_edges: usize,
+    pub(crate) node_types: Vec<NodeTypeId>,
+    pub(crate) features: Matrix,
+    pub(crate) out: AdjColumns,
+    /// In-direction rows; `None` for undirected graphs, whose in-rows are
+    /// their out-rows.
+    pub(crate) inn: Option<AdjColumns>,
 }
 
 impl Graph {
@@ -35,40 +39,54 @@ impl Graph {
         GraphBuilder::new(directed)
     }
 
+    /// The borrowed CSR view of this graph's columns (a few slices).
+    #[inline]
+    pub fn csr(&self) -> CsrGraph<'_> {
+        let out = self.out.as_csr();
+        CsrGraph {
+            directed: self.inn.is_some(),
+            feature_dim: self.features.cols(),
+            node_types: &self.node_types,
+            features: self.features.as_slice(),
+            out,
+            inn: self.inn.as_ref().map_or(out, AdjColumns::as_csr),
+        }
+    }
+
     /// Whether edges are directed.
     #[inline]
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.csr().is_directed()
     }
 
     /// Number of nodes `|V|`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.node_types.len()
+        self.csr().num_nodes()
     }
 
     /// Number of edges `|E|` (each undirected edge counted once).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.csr().num_edges()
     }
 
     /// True when the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.node_types.is_empty()
+        self.csr().is_empty()
     }
 
     /// The type `L(v)` of a node.
     #[inline]
     pub fn node_type(&self, v: NodeId) -> NodeTypeId {
-        self.node_types[v]
+        self.csr().node_type(v)
     }
 
     /// All node types, indexed by node id.
     #[inline]
     pub fn node_types(&self) -> &[NodeTypeId] {
-        &self.node_types
+        self.csr().node_types()
     }
 
     /// The dense `|V| × D` feature matrix.
@@ -80,62 +98,45 @@ impl Graph {
     /// Feature dimensionality `D`.
     #[inline]
     pub fn feature_dim(&self) -> usize {
-        self.features.cols()
+        self.csr().feature_dim()
     }
 
-    /// Out-neighbors of `v` with edge types, sorted by neighbor id.
-    /// For undirected graphs this is simply the neighbor list.
+    /// Out-neighbors of `v` with edge types (see [`CsrGraph::neighbors`]).
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeTypeId)] {
-        &self.out_adj[v]
+    pub fn neighbors(&self, v: NodeId) -> CsrNeighbors<'_> {
+        self.csr().neighbors(v)
     }
 
-    /// In-neighbors of `v` with edge types (equals [`Self::neighbors`] for
-    /// undirected graphs).
+    /// In-neighbors of `v` with edge types (see [`CsrGraph::in_neighbors`]).
     #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[(NodeId, EdgeTypeId)] {
-        &self.in_adj[v]
+    pub fn in_neighbors(&self, v: NodeId) -> CsrNeighbors<'_> {
+        self.csr().in_neighbors(v)
     }
 
     /// Degree of `v` (out-degree for directed graphs).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.out_adj[v].len()
-    }
-
-    /// Degree counting both directions (used for GCN symmetrization).
-    pub fn total_degree(&self, v: NodeId) -> usize {
-        if self.directed {
-            self.out_adj[v].len() + self.in_adj[v].len()
-        } else {
-            self.out_adj[v].len()
-        }
+        self.csr().degree(v)
     }
 
     /// Returns the type of the edge `u → v` if present.
+    #[inline]
     pub fn edge_type(&self, u: NodeId, v: NodeId) -> Option<EdgeTypeId> {
-        self.out_adj[u].binary_search_by_key(&v, |&(n, _)| n).ok().map(|i| self.out_adj[u][i].1)
+        self.csr().edge_type(u, v)
     }
 
     /// True if the edge `u → v` exists (`u — v` for undirected graphs).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_type(u, v).is_some()
+        self.csr().has_edge(u, v)
     }
 
     /// Iterates over every edge once as `(u, v, type)`. For undirected
     /// graphs, yields each edge with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeTypeId)> + '_ {
-        self.out_adj.iter().enumerate().flat_map(move |(u, nbrs)| {
-            nbrs.iter().filter_map(
-                move |&(v, t)| {
-                    if self.directed || u < v {
-                        Some((u, v, t))
-                    } else {
-                        None
-                    }
-                },
-            )
+        let directed = self.is_directed();
+        (0..self.num_nodes()).flat_map(move |u| {
+            self.neighbors(u).filter(move |&(v, _)| directed || u < v).map(move |(v, t)| (u, v, t))
         })
     }
 
@@ -144,57 +145,8 @@ impl Graph {
         if self.is_empty() {
             return 0.0;
         }
-        let ends = if self.directed { self.num_edges } else { 2 * self.num_edges };
+        let ends = if self.is_directed() { self.num_edges() } else { 2 * self.num_edges() };
         ends as f64 / self.num_nodes() as f64
-    }
-
-    /// The node-induced subgraph on `nodes` (order defines the new ids).
-    ///
-    /// Duplicates in `nodes` are ignored after the first occurrence. The
-    /// result keeps features and all edges between retained nodes, and
-    /// records the old↔new id mapping (needed to map explanations back onto
-    /// the original graph).
-    #[allow(clippy::needless_range_loop)] // index parallels a second structure
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> InducedSubgraph {
-        let mut old_of_new = Vec::with_capacity(nodes.len());
-        let mut new_of_old = vec![usize::MAX; self.num_nodes()];
-        for &v in nodes {
-            assert!(v < self.num_nodes(), "node {v} out of range");
-            if new_of_old[v] == usize::MAX {
-                new_of_old[v] = old_of_new.len();
-                old_of_new.push(v);
-            }
-        }
-        let n = old_of_new.len();
-        let mut b = GraphBuilder::new(self.directed);
-        for &old in &old_of_new {
-            b.add_node(self.node_types[old], self.features.row(old));
-        }
-        for new_u in 0..n {
-            let old_u = old_of_new[new_u];
-            for &(old_v, t) in &self.out_adj[old_u] {
-                let new_v = new_of_old[old_v];
-                if new_v == usize::MAX {
-                    continue;
-                }
-                if self.directed || new_u < new_v || old_u == old_v {
-                    b.add_edge(new_u, new_v, t);
-                }
-            }
-        }
-        InducedSubgraph { graph: b.build(), old_of_new, new_of_old }
-    }
-
-    /// The remainder `G \ Gs`: the subgraph induced by all nodes *not* in
-    /// `removed` (the paper's counterfactual test input, §2.2).
-    pub fn remove_nodes(&self, removed: &[NodeId]) -> InducedSubgraph {
-        let mut keep_mask = vec![true; self.num_nodes()];
-        for &v in removed {
-            assert!(v < self.num_nodes(), "node {v} out of range");
-            keep_mask[v] = false;
-        }
-        let keep: Vec<NodeId> = (0..self.num_nodes()).filter(|&v| keep_mask[v]).collect();
-        self.induced_subgraph(&keep)
     }
 
     /// Connected components (ignoring edge direction), each sorted by id.
@@ -213,7 +165,7 @@ impl Graph {
             stack.push(start);
             while let Some(u) = stack.pop() {
                 comps[id].push(u);
-                for &(v, _) in self.out_adj[u].iter().chain(&self.in_adj[u]) {
+                for (v, _) in self.neighbors(u).chain(self.in_neighbors(u)) {
                     if comp[v] == usize::MAX {
                         comp[v] = id;
                         stack.push(v);
@@ -244,7 +196,7 @@ impl Graph {
             if dist[u] == k {
                 continue;
             }
-            for &(w, _) in self.out_adj[u].iter().chain(&self.in_adj[u]) {
+            for (w, _) in self.neighbors(u).chain(self.in_neighbors(u)) {
                 if dist[w] == usize::MAX {
                     dist[w] = dist[u] + 1;
                     out.push(w);
@@ -255,14 +207,80 @@ impl Graph {
         out.sort_unstable();
         out
     }
+}
 
-    /// Re-types every node to `t` and drops features (helper for datasets
-    /// without node attributes, which get a constant default feature later).
-    pub fn with_uniform_type(mut self, t: NodeTypeId) -> Self {
-        for nt in &mut self.node_types {
-            *nt = t;
+/// Adjacency rows as JSON: per node, `[[neighbor, type], ...]`.
+fn adjacency_value<'a>(rows: impl Iterator<Item = CsrNeighbors<'a>>) -> Value {
+    let pair = |(v, t): (NodeId, EdgeTypeId)| Value::Array(vec![v.to_value(), t.to_value()]);
+    Value::Array(rows.map(|row| Value::Array(row.map(pair).collect())).collect())
+}
+
+/// Decodes adjacency rows for `n` nodes, each strictly increasing, in
+/// range, and free of self-loops.
+fn decode_adjacency(v: &Value, n: usize) -> Result<AdjColumns, Error> {
+    let Value::Array(rows) = v else { return Err(Error::wrong_type("array", v)) };
+    if rows.len() != n {
+        return Err(Error::custom(format!("adjacency has {} rows for {n} nodes", rows.len())));
+    }
+    let mut cols = AdjColumns::new();
+    for (u, row) in rows.iter().enumerate() {
+        let mut prev = None;
+        for (w, t) in Vec::<(NodeId, EdgeTypeId)>::from_value(row)? {
+            if w >= n || w == u || prev.is_some_and(|p| p >= w) {
+                return Err(Error::custom(format!("node {u}: malformed neighbor {w}")));
+            }
+            prev = Some(w);
+            cols.targets.push(w as u32);
+            cols.etypes.push(t);
         }
-        self
+        cols.indptr.push(cols.targets.len() as u64);
+    }
+    Ok(cols)
+}
+
+/// The JSON shape is `{directed, node_types, features, out_adj, in_adj,
+/// num_edges}`, with per-node `[neighbor, type]` lists.
+impl Serialize for Graph {
+    fn to_value(&self) -> Value {
+        let c = self.csr();
+        let n = c.num_nodes();
+        Value::Object(vec![
+            ("directed".into(), c.is_directed().to_value()),
+            ("node_types".into(), self.node_types.to_value()),
+            ("features".into(), self.features.to_value()),
+            ("out_adj".into(), adjacency_value((0..n).map(|v| c.neighbors(v)))),
+            ("in_adj".into(), adjacency_value((0..n).map(|v| c.in_neighbors(v)))),
+            ("num_edges".into(), c.num_edges().to_value()),
+        ])
+    }
+}
+
+/// Malformed adjacency — rows out of range or unsorted, in-rows that are
+/// not the transpose of the out-rows, asymmetric undirected rows, or a
+/// wrong edge count — is a decode error.
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let field = |name: &str| v.get_field(name).ok_or_else(|| Error::missing_field(name));
+        let directed = bool::from_value(field("directed")?)?;
+        let node_types = Vec::<NodeTypeId>::from_value(field("node_types")?)?;
+        let features = Matrix::from_value(field("features")?)?;
+        let n = node_types.len();
+        if u32::try_from(n).is_err() {
+            return Err(Error::custom(format!("{n} nodes exceed u32 node ids")));
+        }
+        if features.rows() != n || features.as_slice().len() != n * features.cols() {
+            return Err(Error::custom(format!("feature matrix does not fit {n} nodes")));
+        }
+        let out = decode_adjacency(field("out_adj")?, n)?;
+        let inn = decode_adjacency(field("in_adj")?, n)?;
+        if inn != out.transpose(n) || (!directed && inn != out) {
+            return Err(Error::custom("in_adj is not the transpose of out_adj"));
+        }
+        let g = Graph { node_types, features, out, inn: directed.then_some(inn) };
+        if usize::from_value(field("num_edges")?)? != g.num_edges() {
+            return Err(Error::custom("num_edges disagrees with the adjacency"));
+        }
+        Ok(g)
     }
 }
 
@@ -310,7 +328,7 @@ impl InducedSubgraph {
 pub struct GraphBuilder {
     directed: bool,
     node_types: Vec<NodeTypeId>,
-    features: Vec<Vec<f32>>,
+    features: Vec<f32>,
     feature_dim: Option<usize>,
     edges: Vec<(NodeId, NodeId, EdgeTypeId)>,
 }
@@ -337,7 +355,7 @@ impl GraphBuilder {
             Some(d) => assert_eq!(d, feat.len(), "inconsistent feature dimension"),
         }
         self.node_types.push(t);
-        self.features.push(feat.to_vec());
+        self.features.extend_from_slice(feat);
         self.node_types.len() - 1
     }
 
@@ -356,49 +374,29 @@ impl GraphBuilder {
         self.edges.push((u, v, t));
     }
 
-    /// Finalizes the graph: deduplicates edges, drops self-loops, sorts
-    /// neighbor lists.
+    /// Finalizes the graph: drops self-loops, sorts every row, and keeps
+    /// the smallest edge type among duplicates of one edge.
+    ///
+    /// # Panics
+    /// If the graph has more nodes than `u32` node ids can address.
     pub fn build(self) -> Graph {
         let n = self.node_types.len();
-        let d = self.feature_dim.unwrap_or(0);
-        let mut fm = Matrix::zeros(n, d);
-        for (i, f) in self.features.iter().enumerate() {
-            fm.set_row(i, f);
-        }
-        let mut out_adj: Vec<Vec<(NodeId, EdgeTypeId)>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<(NodeId, EdgeTypeId)>> = vec![Vec::new(); n];
+        assert!(n <= u32::MAX as usize, "graph too large for u32 node ids");
+        let mut entries = Vec::with_capacity(2 * self.edges.len());
         for (u, v, t) in self.edges {
-            if u == v {
-                continue;
-            }
-            out_adj[u].push((v, t));
-            in_adj[v].push((u, t));
-            if !self.directed {
-                out_adj[v].push((u, t));
-                in_adj[u].push((v, t));
+            if u != v {
+                entries.push((u, v, t));
+                if !self.directed {
+                    entries.push((v, u, t));
+                }
             }
         }
-        let mut num_edges = 0;
-        for adj in out_adj.iter_mut() {
-            adj.sort_unstable();
-            adj.dedup_by_key(|&mut (v, _)| v);
-            num_edges += adj.len();
-        }
-        for adj in in_adj.iter_mut() {
-            adj.sort_unstable();
-            adj.dedup_by_key(|&mut (v, _)| v);
-        }
-        if !self.directed {
-            num_edges /= 2;
-        }
-        Graph {
-            directed: self.directed,
-            node_types: self.node_types,
-            features: fm,
-            out_adj,
-            in_adj,
-            num_edges,
-        }
+        entries.sort_unstable();
+        entries.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let out = AdjColumns::from_sorted(n, &entries);
+        let inn = self.directed.then(|| out.transpose(n));
+        let features = Matrix::from_vec(n, self.feature_dim.unwrap_or(0), self.features);
+        Graph { node_types: self.node_types, features, out, inn }
     }
 }
 
@@ -414,6 +412,17 @@ mod tests {
         let v2 = b.add_node(0, &[1.0, 0.0]);
         b.add_edge(v0, v1, 0);
         b.add_edge(v1, v2, 0);
+        b.build()
+    }
+
+    fn star_directed() -> Graph {
+        let mut b = Graph::builder(true);
+        for t in 0..4 {
+            b.add_node(t, &[t as f32]);
+        }
+        b.add_edge(0, 1, 3);
+        b.add_edge(2, 1, 4);
+        b.add_edge(1, 3, 5);
         b.build()
     }
 
@@ -439,12 +448,14 @@ mod tests {
         let mut b = Graph::builder(false);
         let v0 = b.add_node(0, &[]);
         let v1 = b.add_node(0, &[]);
-        b.add_edge(v0, v1, 0);
-        b.add_edge(v1, v0, 0);
+        b.add_edge(v0, v1, 5);
+        b.add_edge(v1, v0, 2);
         b.add_edge(v0, v0, 0);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(0), 1);
+        // the smallest type wins, in both directions
+        assert_eq!((g.edge_type(0, 1), g.edge_type(1, 0)), (Some(2), Some(2)));
     }
 
     #[test]
@@ -457,9 +468,8 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.edge_type(0, 1), Some(3));
-        assert_eq!(g.in_neighbors(1), &[(0, 3)]);
+        assert_eq!(g.in_neighbors(1).collect::<Vec<_>>(), vec![(0, 3)]);
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.total_degree(0), 1);
     }
 
     #[test]
@@ -467,6 +477,8 @@ mod tests {
         let g = path3();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1, 0), (1, 2, 0)]);
+        let d: Vec<_> = star_directed().edges().collect();
+        assert_eq!(d, vec![(0, 1, 3), (1, 3, 5), (2, 1, 4)]);
     }
 
     #[test]
@@ -488,6 +500,20 @@ mod tests {
         let g = path3();
         let sub = g.induced_subgraph(&[1, 1, 2]);
         assert_eq!(sub.graph.num_nodes(), 2);
+    }
+
+    /// Renumbering re-sorts rows, and in-rows stay the transpose.
+    #[test]
+    fn induced_subgraph_of_directed_graph_matches_rebuild() {
+        let g = star_directed();
+        let sub = g.induced_subgraph(&[3, 1, 0]).graph;
+        let mut b = Graph::builder(true);
+        for old in [3, 1, 0] {
+            b.add_node(g.node_type(old), g.features().row(old));
+        }
+        b.add_edge(2, 1, 3);
+        b.add_edge(1, 0, 5);
+        assert_eq!(sub, b.build());
     }
 
     #[test]
@@ -527,5 +553,34 @@ mod tests {
     fn avg_degree_undirected() {
         let g = path3();
         assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn json_keeps_the_list_shape_and_round_trips() {
+        let g = path3();
+        let json = serde_json::to_string(&g).unwrap();
+        assert!(json.contains(r#""out_adj":[[[1,0]],[[0,0],[2,0]],[[1,0]]]"#), "{json}");
+        assert!(json.ends_with(r#""num_edges":2}"#), "{json}");
+        for g in [path3(), star_directed(), Graph::builder(true).build()] {
+            let back: Graph = serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
+            assert_eq!(back, g);
+        }
+    }
+
+    #[test]
+    fn malformed_adjacency_is_a_decode_error() {
+        let json = serde_json::to_string(&path3()).unwrap();
+        for (from, to) in [
+            (r#""out_adj":[[[1,0]]"#, r#""out_adj":[[[7,0]]"#), // out of range
+            (r#""out_adj":[[[1,0]]"#, r#""out_adj":[[[0,0]]"#), // self-loop
+            (r#"[[0,0],[2,0]]"#, r#"[[2,0],[0,0]]"#),           // unsorted
+            (r#""in_adj":[[[1,0]]"#, r#""in_adj":[[[1,9]]"#),   // not the transpose
+            (r#""num_edges":2"#, r#""num_edges":3"#),
+            (r#""out_adj":[[[1,0]],"#, r#""out_adj":["#), // row count
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json, "pattern {from} not found");
+            assert!(serde_json::from_str::<Graph>(&bad).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! `G = (V, E, T, L)` carries node features `T(v)` and node/edge *types*
 //! `L(·)` (distinct from the task's class labels). This crate provides:
 //!
-//! * [`Graph`] — a compact adjacency-list graph with typed nodes/edges and a
-//!   dense feature matrix,
+//! * [`Graph`] — a typed graph owning its CSR columns and a dense feature
+//!   matrix, in the one layout the `.gvex` store writes; [`CsrGraph`] is the
+//!   borrowed view every read accessor is implemented on,
 //! * subgraph algebra: node-induced subgraphs ([`Graph::induced_subgraph`]),
 //!   node removal `G \ Gs` ([`Graph::remove_nodes`]), connected components,
 //!   and k-hop neighborhoods — the primitives the explanation algorithms and

@@ -12,7 +12,7 @@ pub fn bfs_distances(g: &Graph, start: NodeId) -> Vec<usize> {
     dist[start] = 0;
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
-        for &(v, _) in g.neighbors(u).iter().chain(g.in_neighbors(u)) {
+        for (v, _) in g.neighbors(u).chain(g.in_neighbors(u)) {
             if dist[v] == usize::MAX {
                 dist[v] = dist[u] + 1;
                 queue.push_back(v);
@@ -46,7 +46,7 @@ pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
     loop {
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            for &(v, _) in g.neighbors(u).iter().chain(g.in_neighbors(u)) {
+            for (v, _) in g.neighbors(u).chain(g.in_neighbors(u)) {
                 push(v, &mut seen, &mut queue);
             }
         }

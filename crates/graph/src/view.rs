@@ -3,134 +3,37 @@
 //! The explanation hot loops repeatedly score candidate selections by
 //! running inference on the induced subgraph `G[Vs]` and its complement
 //! `G \ Gs`. Materializing each of those as an owned [`Graph`] copies the
-//! adjacency lists and the feature matrix per candidate; a [`GraphRef`]
-//! instead carries the parent handle plus an id remapping (two `Vec`s of
+//! adjacency and the feature matrix per candidate; a [`GraphRef`] instead
+//! carries the parent's [`CsrGraph`] plus an id remapping (two `Vec`s of
 //! node ids), and consumers — GCN propagation, the Jacobian entry points,
 //! the match targets — iterate the parent's adjacency through the mapping.
 //!
-//! A view's parent is either an owned [`Graph`] borrow or a borrowed
-//! [`CsrGraph`] over raw columnar slices (the memory-mapped `.gvex` store):
-//! every accessor dispatches on the backing, so inference over a mapped
-//! database runs through the very same code paths as inference over an
-//! in-memory one, without materializing a single adjacency list.
+//! The parent is always a `CsrGraph`, the one graph layout: an owned
+//! [`Graph`] lends its columns ([`Graph::csr`]) and a memory-mapped `.gvex`
+//! store lends its pages, and both run through the same accessors.
 //!
 //! Ownership rules:
 //!
-//! * a `GraphRef` never outlives its parent (`'a` is the parent borrow —
-//!   for CSR backings that is the lifetime of the mapped bytes);
+//! * a `GraphRef` never outlives its parent's columns (`'a` is that borrow:
+//!   an owned graph, or the mapped bytes of a store);
 //! * the node table is *interned at construction*: duplicates collapse to
 //!   their first occurrence and the selection order defines the view's node
 //!   ids, exactly like [`Graph::induced_subgraph`];
-//! * [`GraphRef::to_graph`] materializes the view through the same builder
-//!   path as `induced_subgraph`, so a materialized view is bitwise
-//!   identical to the owned subgraph it replaces.
+//! * [`GraphRef::to_graph`] and [`Graph::induced_subgraph`] share one
+//!   materialization, so a materialized view is the owned subgraph it
+//!   replaces, column for column.
 
 use crate::csr::{CsrGraph, CsrNeighbors};
-use crate::graph::{EdgeTypeId, Graph, GraphBuilder, NodeId, NodeTypeId};
+use crate::graph::{EdgeTypeId, Graph, InducedSubgraph, NodeId, NodeTypeId};
 use gvex_linalg::Matrix;
-use std::borrow::Cow;
-
-/// The graph a view borrows: an owned [`Graph`] or a columnar [`CsrGraph`].
-#[derive(Clone, Copy, Debug)]
-enum Parent<'a> {
-    Owned(&'a Graph),
-    Csr(CsrGraph<'a>),
-}
-
-impl<'a> Parent<'a> {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        match self {
-            Parent::Owned(g) => g.num_nodes(),
-            Parent::Csr(c) => c.num_nodes(),
-        }
-    }
-
-    #[inline]
-    fn is_directed(&self) -> bool {
-        match self {
-            Parent::Owned(g) => g.is_directed(),
-            Parent::Csr(c) => c.is_directed(),
-        }
-    }
-
-    #[inline]
-    fn feature_dim(&self) -> usize {
-        match self {
-            Parent::Owned(g) => g.feature_dim(),
-            Parent::Csr(c) => c.feature_dim(),
-        }
-    }
-
-    #[inline]
-    fn node_type(&self, v: NodeId) -> NodeTypeId {
-        match self {
-            Parent::Owned(g) => g.node_type(v),
-            Parent::Csr(c) => c.node_type(v),
-        }
-    }
-
-    #[inline]
-    fn feature_row(&self, v: NodeId) -> &'a [f32] {
-        match self {
-            Parent::Owned(g) => g.features().row(v),
-            Parent::Csr(c) => c.feature_row(v),
-        }
-    }
-
-    #[inline]
-    fn neighbors(&self, v: NodeId) -> ParentNeighbors<'a> {
-        match self {
-            Parent::Owned(g) => ParentNeighbors::Owned(g.neighbors(v).iter()),
-            Parent::Csr(c) => ParentNeighbors::Csr(c.neighbors(v)),
-        }
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> ParentNeighbors<'a> {
-        match self {
-            Parent::Owned(g) => ParentNeighbors::Owned(g.in_neighbors(v).iter()),
-            Parent::Csr(c) => ParentNeighbors::Csr(c.in_neighbors(v)),
-        }
-    }
-
-    #[inline]
-    fn edge_type(&self, u: NodeId, v: NodeId) -> Option<EdgeTypeId> {
-        match self {
-            Parent::Owned(g) => g.edge_type(u, v),
-            Parent::Csr(c) => c.edge_type(u, v),
-        }
-    }
-}
-
-/// Iterator over a *parent* node's adjacency, in parent id space. The two
-/// arms iterate an owned graph's `(id, type)` pairs or a CSR graph's
-/// parallel target/type slices; both yield the stored (sorted) order.
-#[derive(Clone, Debug)]
-enum ParentNeighbors<'a> {
-    Owned(std::slice::Iter<'a, (NodeId, EdgeTypeId)>),
-    Csr(CsrNeighbors<'a>),
-}
-
-impl Iterator for ParentNeighbors<'_> {
-    type Item = (NodeId, EdgeTypeId);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            ParentNeighbors::Owned(it) => it.next().copied(),
-            ParentNeighbors::Csr(it) => it.next(),
-        }
-    }
-}
 
 /// A borrowed view of a (sub)set of a parent graph's nodes, with edges
 /// restricted to the retained nodes. Cheap to construct and clone: the
-/// full-graph view holds nothing but the parent handle, and a subset
-/// view holds two id-mapping vectors.
+/// full-graph view holds nothing but the parent's columns, and a subset
+/// view adds two id-mapping vectors.
 #[derive(Clone, Debug)]
 pub struct GraphRef<'a> {
-    parent: Parent<'a>,
+    parent: CsrGraph<'a>,
     sel: Selection,
 }
 
@@ -148,9 +51,9 @@ enum Selection {
 }
 
 impl Selection {
-    /// Interns `nodes` against a parent of `parent_nodes` nodes (the
-    /// [`Graph::induced_subgraph`] interning: duplicates collapse to their
-    /// first occurrence, order defines the new ids).
+    /// Interns `nodes` against a parent of `parent_nodes` nodes:
+    /// duplicates collapse to their first occurrence, order defines the
+    /// new ids.
     fn induced(parent_nodes: usize, nodes: &[NodeId]) -> Self {
         let mut old_of_new = Vec::with_capacity(nodes.len());
         let mut new_of_old = vec![usize::MAX; parent_nodes];
@@ -183,55 +86,36 @@ impl Selection {
 }
 
 impl<'a> GraphRef<'a> {
-    /// The full-graph view (identity mapping, allocation-free).
-    pub fn full(parent: &'a Graph) -> Self {
-        Self { parent: Parent::Owned(parent), sel: Selection::Full }
-    }
-
-    /// The full-graph view over a borrowed columnar [`CsrGraph`]
-    /// (allocation-free — this is how a memory-mapped database graph
-    /// enters the inference pipeline).
-    pub fn full_csr(parent: CsrGraph<'a>) -> Self {
-        Self { parent: Parent::Csr(parent), sel: Selection::Full }
+    /// The full-graph view (identity mapping, allocation-free) of an owned
+    /// graph or a store's columns.
+    pub fn full(parent: impl Into<CsrGraph<'a>>) -> Self {
+        Self { parent: parent.into(), sel: Selection::Full }
     }
 
     /// The view induced by `nodes` (order defines the view's ids;
-    /// duplicates are ignored after the first occurrence — the same
-    /// interning as [`Graph::induced_subgraph`]).
-    pub fn induced(parent: &'a Graph, nodes: &[NodeId]) -> Self {
-        Self { sel: Selection::induced(parent.num_nodes(), nodes), parent: Parent::Owned(parent) }
+    /// duplicates are ignored after the first occurrence).
+    pub fn induced(parent: impl Into<CsrGraph<'a>>, nodes: &[NodeId]) -> Self {
+        let parent = parent.into();
+        Self { sel: Selection::induced(parent.num_nodes(), nodes), parent }
     }
 
     /// The complement view `G \ Gs`: every node *not* in `removed`, in
     /// ascending id order (the counterfactual test input, mirroring
     /// [`Graph::remove_nodes`]).
-    pub fn complement(parent: &'a Graph, removed: &[NodeId]) -> Self {
-        Self {
-            sel: Selection::complement(parent.num_nodes(), removed),
-            parent: Parent::Owned(parent),
+    pub fn complement(parent: impl Into<CsrGraph<'a>>, removed: &[NodeId]) -> Self {
+        let parent = parent.into();
+        Self { sel: Selection::complement(parent.num_nodes(), removed), parent }
+    }
+
+    /// Runs `f` over the view as one `CsrGraph`: a full view lends its
+    /// parent's columns, a subset view is materialized once for the call.
+    /// For consumers that need the view's own sorted adjacency (VF2 match
+    /// targets, random walks).
+    pub fn with_csr<R>(&self, f: impl FnOnce(CsrGraph<'_>) -> R) -> R {
+        match self.sel {
+            Selection::Full => f(self.parent),
+            Selection::Induced { .. } => f(self.to_graph().csr()),
         }
-    }
-
-    /// The view induced by `nodes` over a columnar parent.
-    pub fn induced_csr(parent: CsrGraph<'a>, nodes: &[NodeId]) -> Self {
-        Self { sel: Selection::induced(parent.num_nodes(), nodes), parent: Parent::Csr(parent) }
-    }
-
-    /// The parent as an owned-graph borrow, when the view is backed by one
-    /// (columnar parents return `None` — they have no owned `Graph` to
-    /// hand out; use [`GraphRef::as_graph`] to materialize).
-    #[inline]
-    pub fn parent_graph(&self) -> Option<&'a Graph> {
-        match self.parent {
-            Parent::Owned(g) => Some(g),
-            Parent::Csr(_) => None,
-        }
-    }
-
-    /// True when the view covers every parent node with unchanged ids.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        matches!(self.sel, Selection::Full)
     }
 
     /// Number of nodes in the view.
@@ -298,14 +182,12 @@ impl<'a> GraphRef<'a> {
     /// For subset views, parent neighbors outside the view are skipped;
     /// order follows the parent's (old-id-sorted) adjacency.
     pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        let old = self.to_parent(v);
-        Neighbors { iter: self.parent.neighbors(old), view: self }
+        Neighbors { iter: self.parent.neighbors(self.to_parent(v)), view: self }
     }
 
     /// In-neighbors of view node `v` in view id space, with edge types.
     pub fn in_neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        let old = self.to_parent(v);
-        Neighbors { iter: self.parent.in_neighbors(old), view: self }
+        Neighbors { iter: self.parent.in_neighbors(self.to_parent(v)), view: self }
     }
 
     /// Returns the type of the edge `u → v` (view ids) if present.
@@ -314,68 +196,44 @@ impl<'a> GraphRef<'a> {
     }
 
     /// The view's feature matrix as an owned `|view| × D` gather of the
-    /// parent rows (a plain clone for the full view). Row contents are
-    /// bitwise copies, so inference over the view reproduces inference over
-    /// the materialized subgraph exactly.
+    /// parent rows (one copy of the parent's column for the full view).
+    /// Row contents are bitwise copies, so inference over the view
+    /// reproduces inference over the materialized subgraph exactly.
     pub fn features_matrix(&self) -> Matrix {
-        match (&self.sel, &self.parent) {
-            (Selection::Full, Parent::Owned(g)) => g.features().clone(),
-            (Selection::Full, Parent::Csr(c)) => {
-                Matrix::from_vec(c.num_nodes(), c.feature_dim(), c.features().to_vec())
-            }
-            (Selection::Induced { old_of_new, .. }, parent) => {
-                let mut m = Matrix::zeros(old_of_new.len(), parent.feature_dim());
+        match &self.sel {
+            Selection::Full => Matrix::from_vec(
+                self.num_nodes(),
+                self.feature_dim(),
+                self.parent.features().to_vec(),
+            ),
+            Selection::Induced { old_of_new, .. } => {
+                let mut m = Matrix::zeros(old_of_new.len(), self.feature_dim());
                 for (new, &old) in old_of_new.iter().enumerate() {
-                    m.set_row(new, parent.feature_row(old));
+                    m.set_row(new, self.parent.feature_row(old));
                 }
                 m
             }
         }
     }
 
-    /// Materializes the view as an owned [`Graph`], via the same builder
-    /// path as [`Graph::induced_subgraph`] (bitwise identical result).
+    /// Materializes the view as an owned [`Graph`]: a column copy for the
+    /// full view, the shared induced-subgraph construction otherwise.
     pub fn to_graph(&self) -> Graph {
-        match (&self.sel, &self.parent) {
-            (Selection::Full, Parent::Owned(g)) => (*g).clone(),
-            (Selection::Full, Parent::Csr(c)) => c.to_graph(),
-            (Selection::Induced { old_of_new, .. }, Parent::Owned(g)) => {
-                g.induced_subgraph(old_of_new).graph
-            }
-            (Selection::Induced { old_of_new, new_of_old }, Parent::Csr(_)) => {
-                // Mirrors `Graph::induced_subgraph` over the columnar
-                // parent: same iteration order, same builder finalization.
-                let mut b = GraphBuilder::new(self.parent.is_directed());
-                for &old in old_of_new {
-                    b.add_node(self.parent.node_type(old), self.parent.feature_row(old));
-                }
-                let directed = self.parent.is_directed();
-                for (new_u, &old_u) in old_of_new.iter().enumerate() {
-                    for (old_v, t) in self.parent.neighbors(old_u) {
-                        let new_v = new_of_old[old_v];
-                        if new_v == usize::MAX {
-                            continue;
-                        }
-                        if directed || new_u < new_v {
-                            b.add_edge(new_u, new_v, t);
-                        }
-                    }
-                }
-                b.build()
+        match &self.sel {
+            Selection::Full => self.parent.to_graph(),
+            Selection::Induced { old_of_new, new_of_old } => {
+                self.parent.induced_graph(old_of_new, new_of_old)
             }
         }
     }
 
-    /// The view as a possibly-borrowed graph: the full view over an owned
-    /// parent borrows it for free; subset views and columnar parents
-    /// materialize once. Lets code that fundamentally needs an owned
-    /// adjacency (e.g. VF2 match targets) accept views without taxing the
-    /// common full-graph case.
-    pub fn as_graph(&self) -> Cow<'a, Graph> {
-        match (&self.sel, &self.parent) {
-            (Selection::Full, Parent::Owned(g)) => Cow::Borrowed(*g),
-            _ => Cow::Owned(self.to_graph()),
-        }
+    /// Materializes a subset view together with its id mappings.
+    fn into_induced(self) -> InducedSubgraph {
+        let graph = self.to_graph();
+        let Selection::Induced { old_of_new, new_of_old } = self.sel else {
+            unreachable!("only subset views carry id mappings")
+        };
+        InducedSubgraph { graph, old_of_new, new_of_old }
     }
 }
 
@@ -387,7 +245,7 @@ impl<'a> From<&'a Graph> for GraphRef<'a> {
 
 impl<'a> From<CsrGraph<'a>> for GraphRef<'a> {
     fn from(c: CsrGraph<'a>) -> Self {
-        GraphRef::full_csr(c)
+        GraphRef::full(c)
     }
 }
 
@@ -400,7 +258,7 @@ impl<'a> From<&GraphRef<'a>> for GraphRef<'a> {
 /// Iterator over a view node's neighbors, filtering and remapping the
 /// parent adjacency on the fly.
 pub struct Neighbors<'v> {
-    iter: ParentNeighbors<'v>,
+    iter: CsrNeighbors<'v>,
     view: &'v GraphRef<'v>,
 }
 
@@ -432,6 +290,22 @@ impl Graph {
     pub fn view_without(&self, removed: &[NodeId]) -> GraphRef<'_> {
         GraphRef::complement(self, removed)
     }
+
+    /// The node-induced subgraph on `nodes` (order defines the new ids).
+    ///
+    /// Duplicates in `nodes` are ignored after the first occurrence. The
+    /// result keeps features and all edges between retained nodes, and
+    /// records the old↔new id mapping (needed to map explanations back onto
+    /// the original graph).
+    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> InducedSubgraph {
+        self.view_of(nodes).into_induced()
+    }
+
+    /// The remainder `G \ Gs`: the subgraph induced by all nodes *not* in
+    /// `removed` (the paper's counterfactual test input, §2.2).
+    pub fn remove_nodes(&self, removed: &[NodeId]) -> InducedSubgraph {
+        self.view_without(removed).into_induced()
+    }
 }
 
 #[cfg(test)]
@@ -453,17 +327,32 @@ mod tests {
         b.build()
     }
 
+    /// The oracle the shared materialization is pinned against: rebuild
+    /// the induced subgraph edge by edge through the builder.
+    fn rebuilt(g: &Graph, nodes: &[NodeId]) -> Graph {
+        let sub = g.induced_subgraph(nodes);
+        let mut b = Graph::builder(g.is_directed());
+        for &old in &sub.old_of_new {
+            b.add_node(g.node_type(old), g.features().row(old));
+        }
+        for (u, v, t) in g.edges() {
+            if let (Some(nu), Some(nv)) = (sub.from_parent(u), sub.from_parent(v)) {
+                b.add_edge(nu, nv, t);
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn full_view_is_identity() {
         let g = diamond();
         let v = g.view();
-        assert!(v.is_full());
         assert_eq!(v.num_nodes(), 4);
         assert_eq!(v.to_parent(2), 2);
         assert_eq!(v.from_parent(3), Some(3));
-        let nbrs: Vec<_> = v.neighbors(0).collect();
-        assert_eq!(nbrs, g.neighbors(0).to_vec());
+        assert!(v.neighbors(0).eq(g.neighbors(0)));
         assert_eq!(v.features_matrix(), g.features().clone());
+        assert_eq!(v.to_graph(), g);
     }
 
     #[test]
@@ -474,12 +363,13 @@ mod tests {
             let sub = g.induced_subgraph(&sel);
             assert_eq!(view.num_nodes(), sub.graph.num_nodes());
             assert_eq!(view.to_graph(), sub.graph, "materialized view differs for {sel:?}");
+            assert_eq!(sub.graph, rebuilt(&g, &sel), "builder oracle differs for {sel:?}");
             for v in 0..view.num_nodes() {
                 assert_eq!(view.node_type(v), sub.graph.node_type(v));
                 assert_eq!(view.feature_row(v), sub.graph.features().row(v));
                 let mut nbrs: Vec<_> = view.neighbors(v).collect();
                 nbrs.sort_unstable();
-                assert_eq!(nbrs, sub.graph.neighbors(v).to_vec(), "node {v} of {sel:?}");
+                assert!(nbrs.into_iter().eq(sub.graph.neighbors(v)), "node {v} of {sel:?}");
             }
         }
     }
@@ -509,12 +399,13 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_builds_full_view() {
+    fn with_csr_lends_full_views_and_materializes_subsets() {
         let g = diamond();
         let v: GraphRef = (&g).into();
-        assert!(v.is_full());
-        assert!(matches!(v.as_graph(), Cow::Borrowed(_)));
-        assert!(matches!(g.view_of(&[1]).as_graph(), Cow::Owned(_)));
+        let lent = v.with_csr(|c| c.features().as_ptr());
+        assert_eq!(lent, g.features().as_slice().as_ptr(), "full view must not copy");
+        let sub = g.view_of(&[3, 1]);
+        assert_eq!(sub.with_csr(|c| c.to_graph()), g.induced_subgraph(&[3, 1]).graph);
     }
 
     #[test]
@@ -526,38 +417,22 @@ mod tests {
         assert_eq!(v.features_matrix().rows(), 0);
     }
 
-    /// A view over a columnar parent behaves exactly like the same view
-    /// over the owned graph: full, induced, and complement selections.
+    /// Views over a store's columns and over the owned graph agree on
+    /// full, induced, and complement selections.
     #[test]
-    fn csr_parent_matches_owned_parent() {
+    fn database_columns_serve_the_same_views() {
         let g = diamond();
         let mut cols = CsrColumns::new(false, 2);
         cols.push(&g);
         let csr = cols.graph(0);
 
         let full: GraphRef = csr.into();
-        assert!(full.is_full());
-        assert!(full.parent_graph().is_none());
         assert_eq!(full.to_graph(), g);
         assert_eq!(full.features_matrix(), g.features().clone());
-        assert!(matches!(full.as_graph(), Cow::Owned(_)));
-        for v in 0..4 {
-            assert_eq!(full.node_type(v), g.node_type(v));
-            assert_eq!(full.feature_row(v), g.features().row(v));
-            let a: Vec<_> = full.neighbors(v).collect();
-            assert_eq!(a, g.neighbors(v).to_vec(), "node {v}");
-        }
-
         for sel in [vec![1, 3, 2], vec![0], vec![3, 0]] {
-            let over_csr = GraphRef::induced_csr(csr, &sel);
-            let over_owned = g.view_of(&sel);
-            assert_eq!(over_csr.to_graph(), over_owned.to_graph(), "selection {sel:?}");
-            assert_eq!(over_csr.features_matrix(), over_owned.features_matrix());
-            for v in 0..over_csr.num_nodes() {
-                let a: Vec<_> = over_csr.neighbors(v).collect();
-                let b: Vec<_> = over_owned.neighbors(v).collect();
-                assert_eq!(a, b, "node {v} of {sel:?}");
-            }
+            let over_csr = GraphRef::induced(csr, &sel);
+            assert_eq!(over_csr.to_graph(), g.induced_subgraph(&sel).graph, "selection {sel:?}");
+            assert_eq!(GraphRef::complement(csr, &sel).to_graph(), g.remove_nodes(&sel).graph);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use gvex_gnn::propagation::NormAdj;
 use gvex_gnn::{ForwardTrace, GcnModel};
-use gvex_graph::{Graph, GraphRef};
+use gvex_graph::{CsrGraph, GraphRef};
 use gvex_linalg::kernels::accumulate_row_sum;
 use gvex_linalg::Matrix;
 use rand::rngs::SmallRng;
@@ -56,7 +56,7 @@ pub fn influence_matrix<'a>(
     match mode {
         InfluenceMode::Expected => expected(&g, k),
         InfluenceMode::Realized => realized(model, &g),
-        InfluenceMode::MonteCarlo { walks } => monte_carlo(&g.as_graph(), k, walks, rng),
+        InfluenceMode::MonteCarlo { walks } => g.with_csr(|c| monte_carlo(c, k, walks, rng)),
         InfluenceMode::Auto => {
             if auto_prefers_realized(model, &g) {
                 realized(model, &g)
@@ -83,7 +83,7 @@ pub fn influence_matrix_with_trace<'a>(
     match mode {
         InfluenceMode::Expected => expected(&g, k),
         InfluenceMode::Realized => realized_with_trace(model, &g, trace),
-        InfluenceMode::MonteCarlo { walks } => monte_carlo(&g.as_graph(), k, walks, rng),
+        InfluenceMode::MonteCarlo { walks } => g.with_csr(|c| monte_carlo(c, k, walks, rng)),
         InfluenceMode::Auto => {
             if auto_prefers_realized(model, &g) {
                 realized_with_trace(model, &g, trace)
@@ -337,7 +337,7 @@ pub fn realized_with_trace<'a>(
     normalize_rows(i1)
 }
 
-fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
+fn monte_carlo(g: CsrGraph<'_>, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
     let n = g.num_nodes();
     // One independently seeded stream per source node, derived serially from
     // the caller's RNG: source nodes then fan out across rayon workers
@@ -354,16 +354,16 @@ fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
             for _ in 0..k {
                 // neighbors + self loop, uniform choice
                 // (degree-proportional approximation of Ã's support).
-                let out = g.neighbors(cur);
-                let inn = if g.is_directed() { g.in_neighbors(cur) } else { &[] };
-                let deg = out.len() + inn.len();
+                let (mut out, mut inn) = (g.neighbors(cur), g.in_neighbors(cur));
+                let out_deg = out.len();
+                let deg = out_deg + if g.is_directed() { inn.len() } else { 0 };
                 let pick = rng.gen_range(0..=deg);
                 cur = if pick == deg {
                     cur // self loop
-                } else if pick < out.len() {
-                    out[pick].0
+                } else if pick < out_deg {
+                    out.nth(pick).expect("pick below out-degree").0
                 } else {
-                    inn[pick - out.len()].0
+                    inn.nth(pick - out_deg).expect("pick below degree").0
                 };
             }
             row[cur] += 1.0;
@@ -387,6 +387,7 @@ fn monte_carlo(g: &Graph, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
 mod tests {
     use super::*;
     use gvex_gnn::GcnConfig;
+    use gvex_graph::Graph;
     use gvex_linalg::backend;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

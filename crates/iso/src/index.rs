@@ -17,7 +17,7 @@
 //! Build cost is O(|V|²/64 + |E|) bits of work and O(|V|²/8) bytes of
 //! memory, amortized across all patterns matched against the same target.
 
-use gvex_graph::{BitSet, EdgeTypeId, GraphRef, NodeId, NodeTypeId};
+use gvex_graph::{BitSet, CsrGraph, EdgeTypeId, NodeId, NodeTypeId};
 
 /// Bitset adjacency and candidate rows for one target graph.
 #[derive(Clone, Debug)]
@@ -37,10 +37,9 @@ pub struct MatchIndex {
 }
 
 impl MatchIndex {
-    /// Builds the index for `target` — a `&Graph` or a borrowed
-    /// [`GraphRef`] view (the bitset rows are filled straight from the
-    /// parent adjacency through the view's id mapping, zero-copy).
-    pub fn build<'a>(target: impl Into<GraphRef<'a>>) -> MatchIndex {
+    /// Builds the index for `target` — a `&Graph` or a [`CsrGraph`]
+    /// (the bitset rows are filled straight from its CSR rows).
+    pub fn build<'a>(target: impl Into<CsrGraph<'a>>) -> MatchIndex {
         let target = target.into();
         let n = target.num_nodes();
         let mut out_rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();

@@ -60,9 +60,19 @@ pub struct ServerConfig {
     pub epoch_interval: usize,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self { workers: 4, queue_depth: 64, cache_shards: 4, cache_capacity: 32, epoch_interval: 8 }
+impl ServerConfig {
+    /// The `gvex serve` defaults for a database of `classes` classes: 4
+    /// workers, a queue of 64, one 32-entry cache shard per class (the
+    /// cache's isolation unit matches the answer space's natural
+    /// partition), and an epoch every 8 pending mutations.
+    pub fn for_classes(classes: usize) -> Self {
+        Self {
+            workers: 4,
+            queue_depth: 64,
+            cache_shards: classes.max(1),
+            cache_capacity: 32,
+            epoch_interval: 8,
+        }
     }
 }
 

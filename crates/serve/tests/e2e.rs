@@ -55,6 +55,11 @@ fn trained(db: &GraphDatabase) -> GcnModel {
     trainer::train(db, cfg, &split, opts).0
 }
 
+/// The `gvex serve` defaults for the two-class motif database.
+fn serve_defaults() -> ServerConfig {
+    ServerConfig::for_classes(2)
+}
+
 /// A state over the motif database with views mined exactly the way
 /// `gvex db build --upper 4` would mine them.
 fn motif_state() -> ServeState {
@@ -107,7 +112,7 @@ fn served_answers_match_sequential_pipeline_at_1_and_4_workers() {
         let server = Server::bind(
             motif_state(),
             "127.0.0.1:0",
-            ServerConfig { workers, ..ServerConfig::default() },
+            ServerConfig { workers, ..serve_defaults() },
         )
         .unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
@@ -128,7 +133,7 @@ fn concurrent_clients_get_bitwise_identical_answers() {
         let server = Server::bind(
             motif_state(),
             "127.0.0.1:0",
-            ServerConfig { workers, ..ServerConfig::default() },
+            ServerConfig { workers, ..serve_defaults() },
         )
         .unwrap();
         let addr = server.addr();
@@ -162,7 +167,7 @@ fn concurrent_clients_get_bitwise_identical_answers() {
 
 #[test]
 fn cache_hits_are_transparent_and_flagged() {
-    let server = Server::bind(motif_state(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind(motif_state(), "127.0.0.1:0", serve_defaults()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let req = Request::explain(1, 4, false);
     let first = client.call(&req).unwrap();
@@ -179,7 +184,7 @@ fn cache_hits_are_transparent_and_flagged() {
 
 #[test]
 fn default_upper_shares_the_cache_entry_of_the_explicit_default() {
-    let server = Server::bind(motif_state(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind(motif_state(), "127.0.0.1:0", serve_defaults()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let explicit = Request::explain(1, DEFAULT_UPPER, false);
     let absent = Request { upper: None, ..explicit.clone() };
@@ -247,7 +252,7 @@ fn reload_during_concurrent_traffic_keeps_answers_identical() {
     let expected = Arc::new(sequential_bodies(&state, &reqs));
     let reqs = Arc::new(reqs);
     let server =
-        Server::bind(opened, "127.0.0.1:0", ServerConfig { workers: 4, ..ServerConfig::default() })
+        Server::bind(opened, "127.0.0.1:0", ServerConfig { workers: 4, ..serve_defaults() })
             .unwrap();
     let addr = server.addr();
 
@@ -290,7 +295,7 @@ fn mutate_publishes_epochs_and_invalidates_only_affected_answers() {
     let db0 = state.db().clone();
     let model0 = state.model().clone();
     let views0 = state.views().clone();
-    let server = Server::bind(state, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind(state, "127.0.0.1:0", serve_defaults()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     // warm the cache for both classes
@@ -373,7 +378,7 @@ fn mutate_rejections_are_typed_and_reload_discards_pending_mutations() {
     )
     .unwrap();
     let opened = ServeState::open(&path).unwrap();
-    let server = Server::bind(opened, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind(opened, "127.0.0.1:0", serve_defaults()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     // malformed JSON applies nothing
@@ -411,7 +416,7 @@ fn epoch_interval_publishes_automatically() {
     let server = Server::bind(
         motif_state(),
         "127.0.0.1:0",
-        ServerConfig { epoch_interval: 2, ..ServerConfig::default() },
+        ServerConfig { epoch_interval: 2, ..serve_defaults() },
     )
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -432,7 +437,7 @@ fn full_queue_rejects_with_busy() {
     let server = Server::bind(
         motif_state(),
         "127.0.0.1:0",
-        ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() },
+        ServerConfig { workers: 1, queue_depth: 1, ..serve_defaults() },
     )
     .unwrap();
     let addr = server.addr();
@@ -453,7 +458,7 @@ fn full_queue_rejects_with_busy() {
 
 #[test]
 fn shutdown_request_stops_the_server() {
-    let server = Server::bind(motif_state(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::bind(motif_state(), "127.0.0.1:0", serve_defaults()).unwrap();
     let addr = server.addr();
     let resp = Client::connect(addr).unwrap().call(&Request::shutdown()).unwrap();
     assert!(resp.ok);

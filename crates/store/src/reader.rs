@@ -19,7 +19,7 @@ use crate::mmap::Mapping;
 use crate::{crc::crc32, StoreMeta};
 use gvex_gnn::GcnModel;
 use gvex_graph::csr::slice_adjacency;
-use gvex_graph::{CsrGraph, Graph, GraphDatabase};
+use gvex_graph::{CsrGraph, GraphDatabase};
 use gvex_linalg::Matrix;
 use std::path::Path;
 
@@ -35,10 +35,11 @@ impl Store {
     /// Opens and fully validates a `.gvex` file.
     ///
     /// Validation covers the magic, version, declared length, table CRC,
-    /// per-section CRCs, 64-byte section alignment, and the mutual
-    /// consistency of the column lengths with the metadata. Corruption is
-    /// an `Err`, never a panic. Allocation on this path is O(sections),
-    /// independent of data size.
+    /// per-section CRCs, 64-byte section alignment, the mutual
+    /// consistency of the column lengths with the metadata, and every
+    /// adjacency row (graph-local, strictly increasing, no self-loops).
+    /// Corruption is an `Err`, never a panic. Allocation on this path is
+    /// O(sections), independent of data size.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         gvex_obs::span!("store.open");
         let t0 = std::time::Instant::now();
@@ -163,6 +164,24 @@ impl Store {
                     etypes_id.name(),
                     ind.name()
                 )));
+            }
+            // Graphs leave the store as plain column copies, so every row
+            // must already be what a built graph holds: graph-local ids,
+            // strictly increasing, no self-loops.
+            for bounds in node_ptr.windows(2) {
+                let (n0, n1) = (bounds[0] as usize, bounds[1] as usize);
+                for v in n0..n1 {
+                    let row = &targets[indptr[v] as usize..indptr[v + 1] as usize];
+                    let local = (v - n0) as u32;
+                    let bad = row.iter().any(|&t| t as usize >= n1 - n0 || t == local)
+                        || row.windows(2).any(|w| w[0] >= w[1]);
+                    if bad {
+                        return Err(StoreError::Malformed(format!(
+                            "{}: row of node {v} is out of range, unsorted or a self-loop",
+                            targets_id.name()
+                        )));
+                    }
+                }
             }
         }
         let labels = self.typed::<u32>(SectionId::Labels)?;
@@ -303,9 +322,10 @@ impl Store {
     }
 
     /// Materializes the full owned [`GraphDatabase`] — registries rebuilt
-    /// by interning the stored names in id order, graphs rebuilt through
-    /// the ordinary builder path. Bitwise identical to the database that
-    /// was stored; costs O(data), deliberately *not* part of the open path.
+    /// by interning the stored names in id order, each graph's columns
+    /// copied out of the mapping ([`CsrGraph::to_graph`], no re-sorting).
+    /// Identical to the database that was stored; costs O(data),
+    /// deliberately *not* part of the open path.
     pub fn database(&self) -> GraphDatabase {
         gvex_obs::span!("store.materialize_db");
         let mut db = GraphDatabase::new(self.meta.class_names.clone());
@@ -319,12 +339,6 @@ impl Store {
             db.push(self.graph(i).to_graph(), label as usize);
         }
         db
-    }
-
-    /// Materializes every graph as an owned [`Graph`] without the database
-    /// wrapper (baseline loops that only need graphs).
-    pub fn graphs(&self) -> Vec<Graph> {
-        (0..self.num_graphs()).map(|i| self.graph(i).to_graph()).collect()
     }
 }
 

@@ -28,6 +28,7 @@ use gvex::store::{BuildInput, SectionId, Store};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -111,6 +112,40 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// Rejects a flag value: names the flag and the value, then exits 2 (the
+/// usage-error code), before any work starts.
+fn bad_flag(name: &str, value: &str, why: impl std::fmt::Display) -> ! {
+    eprintln!("invalid --{name} {value:?}: {why}");
+    std::process::exit(2)
+}
+
+/// `--name` parsed as a `T`, `None` when absent; a value that does not
+/// parse is a usage error.
+fn flag_opt<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    flags.get(name).map(|s| s.parse().unwrap_or_else(|e| bad_flag(name, s, e)))
+}
+
+/// `--name` parsed as a `T`, or `default` when absent.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    flag_opt(flags, name).unwrap_or(default)
+}
+
+/// `--upper`, the coverage upper bound: at least 1, default
+/// [`DEFAULT_UPPER`].
+fn upper_flag(flags: &HashMap<String, String>) -> usize {
+    let upper = flag(flags, "upper", DEFAULT_UPPER);
+    if upper == 0 {
+        bad_flag("upper", "0", "the coverage upper bound must be at least 1");
+    }
+    upper
+}
+
 fn load_db(flags: &HashMap<String, String>) -> GraphDatabase {
     if let Some(path) = flags.get("db") {
         return open_store(path).database();
@@ -143,8 +178,7 @@ fn load_db(flags: &HashMap<String, String>) -> GraphDatabase {
             usage();
         }
     };
-    let seed: u64 = flags.get("seed").map_or(42, |s| s.parse().unwrap_or(42));
-    kind.generate(scale, seed)
+    kind.generate(scale, flag(flags, "seed", 42))
 }
 
 fn cmd_stats(flags: &HashMap<String, String>) {
@@ -168,7 +202,7 @@ fn cmd_export(flags: &HashMap<String, String>) {
 }
 
 fn trained_model(flags: &HashMap<String, String>, db: &GraphDatabase) -> (GcnModel, Split) {
-    let seed: u64 = flags.get("seed").map_or(42, |s| s.parse().unwrap_or(42));
+    let seed: u64 = flag(flags, "seed", 42);
     let split = Split::paper(db, seed);
     if let Some(path) = flags.get("model") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -181,12 +215,12 @@ fn trained_model(flags: &HashMap<String, String>, db: &GraphDatabase) -> (GcnMod
         });
         return (model, split);
     }
-    let epochs: usize = flags.get("epochs").map_or(150, |s| s.parse().unwrap_or(150));
-    let lr: f32 = flags.get("lr").map_or(0.01, |s| s.parse().unwrap_or(0.01));
-    let batch_size: usize = flags.get("batch-size").map_or(1, |s| s.parse().unwrap_or(1));
+    let epochs = flag(flags, "epochs", 150);
+    let lr = flag(flags, "lr", 0.01);
+    let batch_size = flag(flags, "batch-size", 1);
     let cfg = GcnConfig {
         input_dim: db.feature_dim().max(1),
-        hidden: flags.get("hidden").map_or(16, |s| s.parse().unwrap_or(16)),
+        hidden: flag(flags, "hidden", 16),
         layers: 3,
         num_classes: db.num_classes(),
     };
@@ -238,16 +272,20 @@ fn serve_state(flags: &HashMap<String, String>) -> ServeState {
 }
 
 fn cmd_explain(flags: &HashMap<String, String>) {
+    let upper = upper_flag(flags);
+    let labels: Option<Vec<usize>> = flags.get("labels").map(|s| {
+        s.split(',')
+            .map(|x| x.trim().parse().unwrap_or_else(|e| bad_flag("labels", s, e)))
+            .collect()
+    });
     // `--db` serves database AND model straight from the store: no
     // regeneration, no retraining — the open-and-serve hot path.
     let state = serve_state(flags);
     let db = state.db();
-    let labels: Vec<usize> = flags
-        .get("labels")
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| (0..db.num_classes()).collect());
-    let upper: usize =
-        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
+    let labels = labels.unwrap_or_else(|| (0..db.num_classes()).collect());
+    if let Some(l) = labels.iter().find(|&&l| l >= db.num_classes()) {
+        bad_flag("labels", &l.to_string(), format!("the dataset has {} classes", db.num_classes()));
+    }
     let cfg = Configuration::paper_mut(upper);
 
     // One pooled session owns the model handle, forward-trace cache, and
@@ -349,14 +387,14 @@ fn cmd_query(flags: &HashMap<String, String>) {
     };
     println!("{} distinct patterns across {} views", idx.patterns().len(), views.views.len());
 
-    if let Some(l) = flags.get("label").and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(l) = flag_opt::<usize>(flags, "label") {
         let pids = idx.patterns_of_label(l);
         println!("label {l} uses {} patterns: {pids:?}", pids.len());
         for pid in pids {
             println!("  P{pid} occurs in graphs {:?}", idx.graphs_matching(pid));
         }
     }
-    if let Some(l) = flags.get("discriminative").and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(l) = flag_opt::<usize>(flags, "discriminative") {
         let pids = idx.discriminative_patterns(l);
         println!("discriminative patterns of label {l}: {pids:?}");
         for pid in pids {
@@ -374,17 +412,13 @@ fn cmd_serve(flags: &HashMap<String, String>) {
         usage();
     }
     let state = serve_state(flags);
+    let defaults = ServerConfig::for_classes(state.db().num_classes());
     let cfg = ServerConfig {
-        workers: flags.get("workers").and_then(|s| s.parse().ok()).unwrap_or(4),
-        queue_depth: flags.get("queue").and_then(|s| s.parse().ok()).unwrap_or(64),
-        // One shard per class by default: the cache's isolation unit
-        // matches the answer space's natural partition.
-        cache_shards: flags
-            .get("cache-shards")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| state.db().num_classes().max(1)),
-        cache_capacity: flags.get("cache-capacity").and_then(|s| s.parse().ok()).unwrap_or(32),
-        epoch_interval: flags.get("epoch-interval").and_then(|s| s.parse().ok()).unwrap_or(8),
+        workers: flag(flags, "workers", defaults.workers),
+        queue_depth: flag(flags, "queue", defaults.queue_depth),
+        cache_shards: flag(flags, "cache-shards", defaults.cache_shards),
+        cache_capacity: flag(flags, "cache-capacity", defaults.cache_capacity),
+        epoch_interval: flag(flags, "epoch-interval", defaults.epoch_interval),
     };
     let addr = flags.get("addr").map_or("127.0.0.1:0", String::as_str);
     let server = Server::bind(state, addr, cfg).unwrap_or_else(|e| {
@@ -403,11 +437,11 @@ fn cmd_request(flags: &HashMap<String, String>) {
     let addr = flags.get("addr").unwrap_or_else(|| usage());
     let req = Request {
         kind: flags.get("kind").cloned().unwrap_or_else(|| "ping".to_string()),
-        graph: flags.get("graph").and_then(|s| s.parse().ok()),
-        target: flags.get("target").and_then(|s| s.parse().ok()),
-        label: flags.get("label").and_then(|s| s.parse().ok()),
-        discriminative: flags.get("discriminative").and_then(|s| s.parse().ok()),
-        upper: flags.get("upper").and_then(|s| s.parse().ok()),
+        graph: flag_opt(flags, "graph"),
+        target: flag_opt(flags, "target"),
+        label: flag_opt(flags, "label"),
+        discriminative: flag_opt(flags, "discriminative"),
+        upper: flag_opt(flags, "upper"),
         stream: flags.contains_key("stream"),
         path: flags.get("path").cloned().unwrap_or_default(),
         mutation: flags.get("mutations").map_or_else(String::new, |p| read_mutation_file(p)),
@@ -438,8 +472,8 @@ fn read_mutation_file(path: &str) -> String {
 fn cmd_ingest_gen(flags: &HashMap<String, String>) {
     let db_path = flags.get("db").unwrap_or_else(|| usage());
     let out = flags.get("out").unwrap_or_else(|| usage());
-    let count: usize = flags.get("count").map_or(64, |s| s.parse().unwrap_or(64));
-    let seed: u64 = flags.get("seed").map_or(42, |s| s.parse().unwrap_or(42));
+    let count = flag(flags, "count", 64);
+    let seed: u64 = flag(flags, "seed", 42);
     let profile = match flags.get("profile") {
         None => GenProfile::Localized,
         Some(s) => GenProfile::parse(s).unwrap_or_else(|| {
@@ -464,10 +498,9 @@ fn cmd_ingest_gen(flags: &HashMap<String, String>) {
 fn cmd_ingest_replay(flags: &HashMap<String, String>) {
     let db_path = flags.get("db").unwrap_or_else(|| usage());
     let log_path = flags.get("mutations").unwrap_or_else(|| usage());
-    let upper: usize =
-        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
-    let interval: usize = flags.get("epoch-interval").map_or(8, |s| s.parse().unwrap_or(8)).max(1);
-    let threads: usize = flags.get("threads").map_or(1, |s| s.parse().unwrap_or(1)).max(1);
+    let upper = upper_flag(flags);
+    let interval = flag(flags, "epoch-interval", 8usize).max(1);
+    let threads = flag(flags, "threads", 1usize).max(1);
     let store = open_store(db_path);
     let db = store.database();
     let model = store.model();
@@ -560,8 +593,8 @@ fn cmd_ingest_replay(flags: &HashMap<String, String>) {
 fn cmd_ingest_send(flags: &HashMap<String, String>) {
     let addr = flags.get("addr").unwrap_or_else(|| usage());
     let log_path = flags.get("mutations").unwrap_or_else(|| usage());
-    let batch: usize = flags.get("batch").map_or(16, |s| s.parse().unwrap_or(16)).max(1);
-    let upper = flags.get("upper").and_then(|s| s.parse().ok());
+    let batch = flag(flags, "batch", 16usize).max(1);
+    let upper = flag_opt(flags, "upper");
     let commit = flags.contains_key("commit");
     let muts = read_log(Path::new(log_path)).unwrap_or_else(|e| {
         eprintln!("failed to read mutation log {log_path}: {e}");
@@ -609,10 +642,10 @@ fn cmd_ingest(rest: &[String]) -> ExitCode {
 /// single mmap-servable store file.
 fn cmd_db_build(flags: &HashMap<String, String>) {
     let out = flags.get("out").unwrap_or_else(|| usage());
+    let upper = upper_flag(flags);
+    let seed: u64 = flag(flags, "seed", 42);
     let db = load_db(flags);
     let (model, _) = trained_model(flags, &db);
-    let upper: usize =
-        flags.get("upper").map_or(DEFAULT_UPPER, |s| s.parse().unwrap_or(DEFAULT_UPPER));
     let cfg = Configuration::paper_mut(upper);
     let views_json = if flags.contains_key("no-views") {
         None
@@ -628,7 +661,6 @@ fn cmd_db_build(flags: &HashMap<String, String>) {
     };
     let dataset =
         flags.get("dataset").or_else(|| flags.get("tu-name")).map(String::as_str).unwrap_or("TU");
-    let seed: u64 = flags.get("seed").map_or(42, |s| s.parse().unwrap_or(42));
     let input = BuildInput {
         db: &db,
         model: &model,

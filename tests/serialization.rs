@@ -261,6 +261,29 @@ fn store_corrupted_table_is_typed() {
 }
 
 #[test]
+fn store_out_of_range_neighbor_is_typed() {
+    let fx = store_fixture();
+    let targets = SectionId::OutTargets as u32;
+    let (_, field_at, offset, len) = *section_table(&fx.bytes)
+        .iter()
+        .find(|(id, ..)| *id == targets)
+        .expect("out_targets section present");
+    assert!(len >= 4);
+    let mut bytes = fx.bytes.clone();
+    // point graph 0's first neighbor far outside the graph, then make the
+    // section and table CRCs agree so the row check itself is what fires
+    let at = offset as usize;
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = crc32(&bytes[at..at + len as usize]);
+    bytes[field_at + 16..field_at + 20].copy_from_slice(&crc.to_le_bytes());
+    repatch_table_crc(&mut bytes);
+    match open_bytes("neighbor", &bytes) {
+        Err(StoreError::Malformed(msg)) => assert!(msg.contains("out_targets"), "{msg}"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
 fn store_misaligned_section_is_typed() {
     let fx = store_fixture();
     let features = SectionId::Features as u32;

@@ -1,6 +1,6 @@
-//! Driver pins for [`ExplainSession`]: the sequential, parallel, and
-//! sharded drivers must agree on what every strategy selects, and the
-//! session-level verify/index entry points must match the free functions.
+//! Driver pins for [`ExplainSession`]: the sequential and parallel drivers
+//! must agree on what every strategy selects, and the session-level
+//! verify/index entry points must match the free functions.
 //! Outputs are compared through serialized JSON, which preserves every
 //! `f64` bit.
 
@@ -62,15 +62,6 @@ fn json(set: &ExplanationViewSet) -> String {
     serde_json::to_string(set).expect("serializes")
 }
 
-/// Per-view `(graph index, selected nodes)` lists: the model-dependent
-/// part of a view set, independent of how patterns were mined.
-fn selections(set: &ExplanationViewSet) -> Vec<Vec<(usize, Vec<usize>)>> {
-    set.views
-        .iter()
-        .map(|v| v.subgraphs.iter().map(|s| (s.graph_index, s.nodes.clone())).collect())
-        .collect()
-}
-
 #[test]
 fn parallel_driver_matches_sequential_at_one_and_four_threads() {
     let db = motif_db();
@@ -87,51 +78,6 @@ fn parallel_driver_matches_sequential_at_one_and_four_threads() {
 }
 
 #[test]
-fn sharded_selections_are_shard_invariant() {
-    let db = motif_db();
-    let model = trained(&db);
-    let sess = ExplainSession::new(&model, config()).unwrap();
-    let sequential = sess.explain(&GreedyStrategy, &db, &[0, 1]);
-    // 64 shards is more shards than graphs: most workers get nothing
-    for shards in [1usize, 3, 4, 64] {
-        let sharded = sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], shards);
-        // Psum runs per shard, so the pattern tier may legitimately differ
-        // from the sequential driver's — but the per-graph selections (the
-        // expensive, model-dependent part) must be shard-invariant.
-        assert_eq!(selections(&sharded), selections(&sequential), "at {shards} shards");
-        for (a, b) in sharded.views.iter().zip(&sequential.views) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.explainability.to_bits(), b.explainability.to_bits());
-        }
-        assert!(!sharded.views[0].subgraphs.is_empty(), "no subgraphs at {shards} shards");
-    }
-    // shard-count invariance of the full serialized output
-    let one = json(&sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], 1));
-    let four = json(&sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], 4));
-    assert_eq!(one, four);
-}
-
-#[test]
-fn sharded_patterns_cover_every_subgraph() {
-    let db = motif_db();
-    let model = trained(&db);
-    let cfg = config();
-    let sess = ExplainSession::new(&model, cfg.clone()).unwrap();
-    for shards in [3usize, 4] {
-        let set = sess.explain_sharded(&GreedyStrategy, &db, &[0, 1], shards);
-        for view in &set.views {
-            for s in &view.subgraphs {
-                assert!(
-                    gvex::core::pmatch(&view.patterns, &s.subgraph, &cfg),
-                    "merged patterns fail coverage on graph {} at {shards} shards",
-                    s.graph_index
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn exact_strategy_is_driver_invariant() {
     let db = motif_db();
     let model = trained(&db);
@@ -142,10 +88,6 @@ fn exact_strategy_is_driver_invariant() {
     for threads in [1usize, 4] {
         let parallel = sess.explain_parallel(&ExactStrategy, &db, &[1], threads);
         assert_eq!(json(&parallel), json(&sequential), "exact strategy at {threads} threads");
-    }
-    for shards in [1usize, 4] {
-        let sharded = sess.explain_sharded(&ExactStrategy, &db, &[1], shards);
-        assert_eq!(selections(&sharded), selections(&sequential), "exact at {shards} shards");
     }
 }
 
