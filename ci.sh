@@ -26,15 +26,6 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace --release
 
-# The whole test suite again under each pinned kernel backend: the default
-# run above exercises auto-dispatch; these two prove every suite holds under
-# either backend (the differential suites compare them from the inside).
-echo "==> cargo test (GVEX_BACKEND=scalar)"
-GVEX_BACKEND=scalar cargo test -q --workspace --release
-
-echo "==> cargo test (GVEX_BACKEND=simd)"
-GVEX_BACKEND=simd cargo test -q --workspace --release
-
 if [[ "${1:-}" != "--fast" ]]; then
     echo "==> bench smoke (writes BENCH_hotpaths.json + OBS_report.json)"
     cargo run -q --release -p gvex-bench --bin hotpaths
@@ -83,22 +74,12 @@ obs_over = bench["obs_overhead"]
 if obs_over["trace_ring_ratio"] > 2.0:
     raise SystemExit(f"bench gate: trace ring ratio {obs_over['trace_ring_ratio']:.3f} above the 2x gate")
 
-# Kernel-backend races: the simd backend must beat the scalar reference
-# at the shapes the trainer actually runs.
+# Kernel races: the production call sites (lane kernels) must beat the
+# scalar oracle at the shapes the trainer actually runs.
 for section, floor in (("simd_matmul", 1.5), ("simd_spmm", 1.5), ("simd_segmented", 1.2)):
     kb = bench[section]
     if kb["speedup"] < floor:
         raise SystemExit(f"bench gate: {section} speedup {kb['speedup']:.2f}x below the {floor}x gate ({kb['shape']})")
-
-parity = bench["backend_parity"]
-if not parity["selections_identical"]:
-    raise SystemExit("bench gate: explain selections differ between kernel backends")
-if not parity["labels_identical"]:
-    raise SystemExit("bench gate: predicted labels differ between kernel backends")
-if parity["max_proba_diff"] > 1e-5:
-    raise SystemExit(f"bench gate: backend probability divergence {parity['max_proba_diff']:.2e} above 1e-5")
-if parity["max_grad_diff"] > 1e-5:
-    raise SystemExit(f"bench gate: backend gradient divergence {parity['max_grad_diff']:.2e} above 1e-5")
 
 # The matching-engine counters are exercised by the bench's obs epilogue
 # (tiny CLI graphs never reach the bitset/truncation/reuse paths).
@@ -143,7 +124,7 @@ if not ingest["differential_ok"]:
 if ingest["epochs"] < 1:
     raise SystemExit("bench gate: ingest bench published no epochs")
 
-print(f"bench gates: vf2 {vf2['speedup']:.2f}x, explain ratios {ratio_small:.3f}/{ratio_large:.3f}, session reuse {session['speedup']:.2f}x, batched forward {bforward['speedup']:.2f}x, mini-batch train {btrain['speedup']:.2f}x, backends {bench['simd_matmul']['speedup']:.2f}x/{bench['simd_spmm']['speedup']:.2f}x/{bench['simd_segmented']['speedup']:.2f}x, serve-from-db {serve['speedup']:.0f}x, serve-qps {serve_qps['speedup']:.0f}x, ingest {ingest['speedup']:.0f}x — OK")
+print(f"bench gates: vf2 {vf2['speedup']:.2f}x, explain ratios {ratio_small:.3f}/{ratio_large:.3f}, session reuse {session['speedup']:.2f}x, batched forward {bforward['speedup']:.2f}x, mini-batch train {btrain['speedup']:.2f}x, kernels {bench['simd_matmul']['speedup']:.2f}x/{bench['simd_spmm']['speedup']:.2f}x/{bench['simd_segmented']['speedup']:.2f}x, serve-from-db {serve['speedup']:.0f}x, serve-qps {serve_qps['speedup']:.0f}x, ingest {ingest['speedup']:.0f}x — OK")
 PY
 fi
 
@@ -201,11 +182,6 @@ if not any(name.startswith("gnn.trace_cache.") for name in counters):
     sys.exit("obs smoke: no gnn.trace_cache.* counters recorded")
 if not any(name.startswith("linalg.matmul.dispatch.") for name in counters):
     sys.exit("obs smoke: no linalg.matmul.dispatch.* counters recorded")
-if not any(name.startswith("linalg.backend.dispatch.") for name in counters):
-    sys.exit("obs smoke: no linalg.backend.dispatch.* counters recorded")
-selected = [name for name in counters if name.startswith("linalg.backend.selected.")]
-if len(selected) != 1:
-    sys.exit(f"obs smoke: expected exactly one linalg.backend.selected.* counter, got {selected}")
 for required in ("gnn.trace_cache.evictions", "core.session.influence_misses"):
     if required not in counters:
         sys.exit(f"obs smoke: counter {required!r} missing (registered-at-zero expected)")
@@ -260,7 +236,7 @@ if cargo run -q --release -- obs diff "$obs_report" "$obs_regressed" \
 fi
 echo "obs diff gate: clean pass + doctored regression detected — OK"
 
-echo "==> store smoke (.gvex built once, inspected, served under both kernel backends)"
+echo "==> store smoke (.gvex built once, inspected, served)"
 GVEX_OBS=1 GVEX_OBS_JSON="$store_build_report" \
     cargo run -q --release -- db build --dataset MUT --scale small --seed 42 \
     --epochs 20 --upper 4 --out "$store_db" >/dev/null
@@ -271,15 +247,12 @@ for required in meta features model views; do
         exit 1
     fi
 done
-# Serve explain (which re-verifies views) and query from the same file under
-# both pinned kernel backends; the last explain leaves the serve-side obs
-# report for the counter check below.
-for backend in scalar simd; do
-    GVEX_BACKEND="$backend" GVEX_THREADS=2 GVEX_OBS=1 GVEX_OBS_JSON="$store_serve_report" \
-        cargo run -q --release -- explain --dataset MUT --scale small --upper 4 \
-        --db "$store_db" >/dev/null
-    GVEX_BACKEND="$backend" cargo run -q --release -- query --db "$store_db" >/dev/null
-done
+# Serve explain (which re-verifies views) and query from the same file; the
+# explain leaves the serve-side obs report for the counter check below.
+GVEX_THREADS=2 GVEX_OBS=1 GVEX_OBS_JSON="$store_serve_report" \
+    cargo run -q --release -- explain --dataset MUT --scale small --upper 4 \
+    --db "$store_db" >/dev/null
+cargo run -q --release -- query --db "$store_db" >/dev/null
 python3 - "$store_build_report" "$store_serve_report" <<'PY'
 import json, sys
 
@@ -308,48 +281,45 @@ print(f"store smoke: {counters['store.mapped_bytes']} bytes mapped across "
       f"{len(sections)} sections, open_ms={counters['store.open_ms']} — OK")
 PY
 
-echo "==> serve smoke (daemon on an ephemeral port, mixed traffic, both kernel backends)"
+echo "==> serve smoke (daemon on an ephemeral port, mixed traffic)"
 # The daemon serves the store built above; the one-shot `gvex request`
 # client drives a mixed explain/query/node workload, a repeat request must
 # come back from the answer cache, and a reload + shutdown must both land
-# cleanly. The simd run's obs report (written at daemon exit) is validated
-# below.
-for backend in scalar simd; do
-    : > "$daemon_log"
-    GVEX_BACKEND="$backend" GVEX_THREADS=2 GVEX_OBS=1 GVEX_OBS_JSON="$daemon_report" \
-        cargo run -q --release -- serve --db "$store_db" >"$daemon_log" &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$daemon_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "serve smoke ($backend): daemon never reported its address" >&2
-        kill "$daemon_pid" 2>/dev/null || true
-        exit 1
-    fi
-    req() { cargo run -q --release -- request --addr "$addr" "$@"; }
-    req --kind stats >/dev/null
-    req --kind explain --label 0 --upper 4 >/dev/null
-    # the identical request again: must be served from the answer cache
-    cached_note="$(req --kind explain --label 0 --upper 4 2>&1 >/dev/null)"
-    if ! grep -q "cached=true" <<<"$cached_note"; then
-        echo "serve smoke ($backend): repeat explain missed the cache: $cached_note" >&2
-        exit 1
-    fi
-    req --kind query --label 0 >/dev/null
-    req --kind query --discriminative 1 >/dev/null
-    req --kind node --graph 0 --target 0 --upper 4 >/dev/null
-    req --kind reload >/dev/null
-    req --kind shutdown >/dev/null
-    wait "$daemon_pid"
-    if ! grep -q "gvex serve: stopped" "$daemon_log"; then
-        echo "serve smoke ($backend): daemon did not stop cleanly" >&2
-        exit 1
-    fi
+# cleanly. The obs report (written at daemon exit) is validated below.
+: > "$daemon_log"
+GVEX_THREADS=2 GVEX_OBS=1 GVEX_OBS_JSON="$daemon_report" \
+    cargo run -q --release -- serve --db "$store_db" >"$daemon_log" &
+daemon_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$daemon_log")"
+    [[ -n "$addr" ]] && break
+    sleep 0.1
 done
+if [[ -z "$addr" ]]; then
+    echo "serve smoke: daemon never reported its address" >&2
+    kill "$daemon_pid" 2>/dev/null || true
+    exit 1
+fi
+req() { cargo run -q --release -- request --addr "$addr" "$@"; }
+req --kind stats >/dev/null
+req --kind explain --label 0 --upper 4 >/dev/null
+# the identical request again: must be served from the answer cache
+cached_note="$(req --kind explain --label 0 --upper 4 2>&1 >/dev/null)"
+if ! grep -q "cached=true" <<<"$cached_note"; then
+    echo "serve smoke: repeat explain missed the cache: $cached_note" >&2
+    exit 1
+fi
+req --kind query --label 0 >/dev/null
+req --kind query --discriminative 1 >/dev/null
+req --kind node --graph 0 --target 0 --upper 4 >/dev/null
+req --kind reload >/dev/null
+req --kind shutdown >/dev/null
+wait "$daemon_pid"
+if ! grep -q "gvex serve: stopped" "$daemon_log"; then
+    echo "serve smoke: daemon did not stop cleanly" >&2
+    exit 1
+fi
 python3 - "$daemon_report" <<'PY'
 import json, sys
 

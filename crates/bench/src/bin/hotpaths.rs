@@ -17,7 +17,7 @@
 //!    a small motif database, at 1 and 4 threads (identical output by
 //!    construction; the adaptive fan-out gate must keep the 4-thread run
 //!    from regressing on a workload this small), then on a larger database
-//!    whose workload clears `GVEX_PAR_THRESHOLD` and fans out on
+//!    whose workload clears the fan-out threshold and fans out on
 //!    multi-core hardware (on a single-core container the gate's hardware
 //!    clamp keeps both sizes sequential, so the ratio stays ≈ 1.0 there
 //!    too); reported under the `explain_database` /
@@ -35,15 +35,12 @@
 //!    passes with the same precomputed operators (target ≥ 2× at batch
 //!    32), and mini-batch training (`batch_size = 16`) vs per-graph
 //!    steps over identical epochs (target ≥ 1.5×).
-//! 6. Kernel-backend races (`gvex_linalg::backend`): the same call sites
-//!    run under `GVEX_BACKEND=scalar` (reference loops) and `simd`
-//!    (autovectorized lane kernels) via `set_active`, switched inside each
-//!    race arm — 256³ dense matmul, block-diagonal SpMM on a packed
-//!    operator, and the segmented column-sum readout (targets ≥ 1.5×,
-//!    ≥ 1.5×, ≥ 1.2×). A final parity section trains a model, then checks
-//!    the two backends agree end to end: explain-view node selections
-//!    identical, predicted labels identical, class probabilities and
-//!    training gradients within 1e-5.
+//! 6. Kernel races (`gvex_linalg::backend`): the production call sites
+//!    (`Matrix::matmul_into`, `NormAdj::matmul_into`,
+//!    `segmented::segmented_col_sum`, all on the lane kernels) raced
+//!    against the scalar oracle handle on the same inputs — 256³ dense
+//!    matmul, block-diagonal SpMM on a packed operator, and the segmented
+//!    column-sum readout (targets ≥ 1.5×, ≥ 1.5×, ≥ 1.2×).
 //! 7. Store serving (`gvex-store`): a full cold start (generate the MUT
 //!    dataset, train the classifier, mine every class's views) raced
 //!    against the warm path (memory-map the `.gvex` container, parse the
@@ -79,7 +76,8 @@ use gvex_iso::{
     for_each_embedding, for_each_embedding_reference, for_each_embedding_with_index, MatchIndex,
     MatchOptions,
 };
-use gvex_linalg::backend::{self, BackendKind};
+use gvex_linalg::backend::{backend, BackendKind};
+use gvex_linalg::segmented::segmented_col_sum;
 use gvex_linalg::Matrix;
 use gvex_mining::MiningConfig;
 use gvex_store::Store;
@@ -201,32 +199,17 @@ struct BatchedTrainBench {
     speedup: f64,
 }
 
-/// One hot kernel raced through its normal call site under the `scalar`
-/// and `simd` backends (switched with `backend::set_active` inside each
-/// race arm, restored from the environment afterwards).
+/// One hot kernel raced at its production call site (the lane kernels)
+/// against the scalar oracle handle on the same inputs.
 #[derive(Serialize)]
 struct BackendKernelBench {
     /// Human-readable problem shape, e.g. `"256x256x256"`.
     shape: String,
+    /// Min-of-N seconds for the scalar oracle.
     backend_scalar_secs: f64,
+    /// Min-of-N seconds for the production call site.
     backend_simd_secs: f64,
     speedup: f64,
-}
-
-/// End-to-end agreement between the two kernel backends on a trained
-/// model: explanation selections and labels must be identical; class
-/// probabilities and training gradients within the 1e-5 pin.
-#[derive(Serialize)]
-struct BackendParityBench {
-    graphs: usize,
-    /// Explain-view node selections (per label, per graph) are identical.
-    selections_identical: bool,
-    /// Predicted labels over the whole database are identical.
-    labels_identical: bool,
-    /// Max |Δ| across all per-graph class probabilities.
-    max_proba_diff: f32,
-    /// Max |Δ| across one batched backward's gradient matrices.
-    max_grad_diff: f32,
 }
 
 /// Bare `Store::open` on a freshly written `.gvex` container: header,
@@ -358,7 +341,6 @@ struct Report {
     simd_matmul: BackendKernelBench,
     simd_spmm: BackendKernelBench,
     simd_segmented: BackendKernelBench,
-    backend_parity: BackendParityBench,
     db_open: DbOpenBench,
     serve_from_db: ServeFromDbBench,
     serve_qps: ServeQpsBench,
@@ -664,7 +646,7 @@ fn bench_explain() -> (ExplainBench, ExplainScaleBench) {
     };
 
     // Larger database: fewer but much bigger graphs, so the estimated
-    // explain cost clears `GVEX_PAR_THRESHOLD` and the fan-out spawns
+    // explain cost clears the fan-out threshold and the fan-out spawns
     // workers wherever the hardware has them (the same trained model
     // explains both databases).
     let mut large = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
@@ -853,41 +835,21 @@ fn bench_batched_train() -> BatchedTrainBench {
     }
 }
 
-/// Races one closure pair where each arm pins its kernel backend first:
-/// the store is an atomic write, negligible against the kernels measured
-/// here, and interleaving keeps drift from biasing either backend.
-fn race_backends<F: FnMut(), G: FnMut()>(rounds: usize, mut scalar: F, mut simd: G) -> (f64, f64) {
-    let out = race(
-        rounds,
-        || {
-            backend::set_active(BackendKind::Scalar);
-            scalar();
-        },
-        || {
-            backend::set_active(BackendKind::Simd);
-            simd();
-        },
-    );
-    backend::refresh_from_env();
-    out
-}
-
 fn bench_simd_matmul() -> BackendKernelBench {
     const N: usize = 256;
     let mut rng = ChaCha8Rng::seed_from_u64(29);
     let a = random_matrix(N, N, &mut rng);
     let b = random_matrix(N, N, &mut rng);
+    let scalar = backend(BackendKind::Scalar);
     // one output scratch per arm (reused across rounds, like the trainer)
     let mut out_s = Matrix::zeros(0, 0);
     let mut out_v = Matrix::zeros(0, 0);
-    backend::set_active(BackendKind::Scalar);
-    a.matmul_into(&b, &mut out_s);
-    backend::set_active(BackendKind::Simd);
+    scalar.matmul_into(&a, &b, &mut out_s);
     a.matmul_into(&b, &mut out_v);
-    let (scalar_secs, simd_secs) = race_backends(
+    let (scalar_secs, simd_secs) = race(
         7,
         || {
-            a.matmul_into(black_box(&b), &mut out_s);
+            scalar.matmul_into(&a, black_box(&b), &mut out_s);
             black_box(&out_s);
         },
         || {
@@ -914,16 +876,17 @@ fn bench_simd_spmm() -> BackendKernelBench {
     let total = block.len();
     let mut rng = ChaCha8Rng::seed_from_u64(31);
     let x = random_matrix(total, COLS, &mut rng);
+    // the oracle takes the operator as plain row lists
+    let rows: Vec<Vec<(usize, f32)>> = (0..total).map(|u| block.row(u).to_vec()).collect();
+    let scalar = backend(BackendKind::Scalar);
     let mut out_s = Matrix::zeros(0, 0);
     let mut out_v = Matrix::zeros(0, 0);
-    backend::set_active(BackendKind::Scalar);
-    block.matmul_into(&x, &mut out_s);
-    backend::set_active(BackendKind::Simd);
+    scalar.spmm_into(&rows, &x, &mut out_s);
     block.matmul_into(&x, &mut out_v);
-    let (scalar_secs, simd_secs) = race_backends(
+    let (scalar_secs, simd_secs) = race(
         15,
         || {
-            block.matmul_into(black_box(&x), &mut out_s);
+            scalar.spmm_into(&rows, black_box(&x), &mut out_s);
             black_box(&out_s);
         },
         || {
@@ -941,10 +904,9 @@ fn bench_simd_spmm() -> BackendKernelBench {
 
 fn bench_simd_segmented() -> BackendKernelBench {
     // readout-shaped: many small segments over a cache-resident stacked
-    // matrix. The allocation the public wrapper performs per call would
-    // drown the kernel at this size, so the race goes through the static
-    // backend handles with preallocated outputs, repeated enough times per
-    // round to rise above timer noise.
+    // matrix, repeated enough times per round to rise above timer noise.
+    // The production wrapper allocates its zeroed output per call, so the
+    // oracle arm allocates one too.
     const ROWS: usize = 4096;
     const COLS: usize = 32;
     const REPS: usize = 40;
@@ -956,25 +918,20 @@ fn bench_simd_segmented() -> BackendKernelBench {
         offsets.push(next);
     }
     let segments = offsets.len() - 1;
-    let scalar = backend::backend(BackendKind::Scalar);
-    let simd = backend::backend(BackendKind::Simd);
-    let mut out_s = Matrix::zeros(segments, COLS);
-    let mut out_v = Matrix::zeros(segments, COLS);
-    scalar.segmented_col_sum(&x, &offsets, &mut out_s);
-    simd.segmented_col_sum(&x, &offsets, &mut out_v);
+    let scalar = backend(BackendKind::Scalar);
     let (scalar_secs, simd_secs) = race(
         25,
         || {
             for _ in 0..REPS {
-                scalar.segmented_col_sum(black_box(&x), &offsets, &mut out_s);
+                let mut out = Matrix::zeros(segments, COLS);
+                scalar.segmented_col_sum(black_box(&x), &offsets, &mut out);
+                black_box(&out);
             }
-            black_box(&out_s);
         },
         || {
             for _ in 0..REPS {
-                simd.segmented_col_sum(black_box(&x), &offsets, &mut out_v);
+                black_box(segmented_col_sum(black_box(&x), &offsets));
             }
-            black_box(&out_v);
         },
     );
     BackendKernelBench {
@@ -995,60 +952,6 @@ fn selection_signature(set: &gvex_core::ExplanationViewSet) -> Vec<ViewSignature
         .iter()
         .map(|v| (v.label, v.subgraphs.iter().map(|s| (s.graph_index, s.nodes.clone())).collect()))
         .collect()
-}
-
-fn bench_backend_parity() -> BackendParityBench {
-    // same recipe as the end-to-end explain bench: a motif-vs-plain
-    // database and a model trained to tell them apart (under the default
-    // backend)
-    let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
-    for i in 0..8 {
-        db.push(plain_graph(6 + i % 3), 0);
-        db.push(motif_graph(5 + i % 3), 1);
-    }
-    let split =
-        Split { train: (0..db.len()).collect(), val: (0..db.len()).collect(), test: vec![] };
-    let gcfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
-    let opts = TrainOptions { epochs: 60, lr: 0.01, seed: 3, patience: 0, ..Default::default() };
-    let (model, _) = train(&db, gcfg, &split, opts);
-    let labels: Vec<usize> = vec![0, 1];
-    let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-    let views: Vec<GraphRef> = db.graphs().iter().map(|g| g.view()).collect();
-    let targets: Vec<usize> = db.truth().to_vec();
-
-    let run = || {
-        let explained = ExplainSession::new(&model, cfg.clone())
-            .expect("valid configuration")
-            .explain_parallel(&GreedyStrategy, &db, &labels, 1);
-        let predicted = model.predict_batch(&views);
-        let probas = model.predict_proba_batch(&views);
-        let batch = GraphBatch::pack(&model, &views);
-        let grads = model.backward_batch(&model.forward_batch(&batch), &targets);
-        (selection_signature(&explained), predicted, probas, grads)
-    };
-    backend::set_active(BackendKind::Scalar);
-    let (sel_s, lab_s, proba_s, grads_s) = run();
-    backend::set_active(BackendKind::Simd);
-    let (sel_v, lab_v, proba_v, grads_v) = run();
-    backend::refresh_from_env();
-
-    let max_proba_diff = proba_s
-        .iter()
-        .flatten()
-        .zip(proba_v.iter().flatten())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    let grad_pairs = grads_s.conv.iter().zip(&grads_v.conv).chain([(&grads_s.fc_w, &grads_v.fc_w)]);
-    let max_grad_diff = grad_pairs
-        .flat_map(|(a, b)| a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()))
-        .fold(0.0f32, f32::max);
-    BackendParityBench {
-        graphs: db.len(),
-        selections_identical: sel_s == sel_v,
-        labels_identical: lab_s == lab_v,
-        max_proba_diff,
-        max_grad_diff,
-    }
 }
 
 /// Builds the benchmark store at `path` and measures open/serve costs.
@@ -1507,10 +1410,10 @@ fn main() {
         if batched_train.speedup >= 1.5 { "(>= 1.5x target met)" } else { "(BELOW 1.5x target)" }
     );
 
-    eprintln!("[hotpaths] backend race: dense matmul ...");
+    eprintln!("[hotpaths] kernel race, oracle vs production: dense matmul ...");
     let simd_matmul = bench_simd_matmul();
     eprintln!(
-        "[hotpaths]   {}: scalar {:.4}s, simd {:.4}s, speedup {:.2}x {}",
+        "[hotpaths]   {}: oracle {:.4}s, production {:.4}s, speedup {:.2}x {}",
         simd_matmul.shape,
         simd_matmul.backend_scalar_secs,
         simd_matmul.backend_simd_secs,
@@ -1518,10 +1421,10 @@ fn main() {
         if simd_matmul.speedup >= 1.5 { "(>= 1.5x target met)" } else { "(BELOW 1.5x target)" }
     );
 
-    eprintln!("[hotpaths] backend race: block-diagonal spmm ...");
+    eprintln!("[hotpaths] kernel race, oracle vs production: block-diagonal spmm ...");
     let simd_spmm = bench_simd_spmm();
     eprintln!(
-        "[hotpaths]   {}: scalar {:.4}s, simd {:.4}s, speedup {:.2}x {}",
+        "[hotpaths]   {}: oracle {:.4}s, production {:.4}s, speedup {:.2}x {}",
         simd_spmm.shape,
         simd_spmm.backend_scalar_secs,
         simd_spmm.backend_simd_secs,
@@ -1529,27 +1432,15 @@ fn main() {
         if simd_spmm.speedup >= 1.5 { "(>= 1.5x target met)" } else { "(BELOW 1.5x target)" }
     );
 
-    eprintln!("[hotpaths] backend race: segmented readout ...");
+    eprintln!("[hotpaths] kernel race, oracle vs production: segmented readout ...");
     let simd_segmented = bench_simd_segmented();
     eprintln!(
-        "[hotpaths]   {}: scalar {:.4}s, simd {:.4}s, speedup {:.2}x {}",
+        "[hotpaths]   {}: oracle {:.4}s, production {:.4}s, speedup {:.2}x {}",
         simd_segmented.shape,
         simd_segmented.backend_scalar_secs,
         simd_segmented.backend_simd_secs,
         simd_segmented.speedup,
         if simd_segmented.speedup >= 1.2 { "(>= 1.2x target met)" } else { "(BELOW 1.2x target)" }
-    );
-
-    eprintln!("[hotpaths] backend parity: explain + train under both backends ...");
-    let backend_parity = bench_backend_parity();
-    eprintln!(
-        "[hotpaths]   {} graphs: selections {}, labels {}, \
-         max proba diff {:.2e}, max grad diff {:.2e}",
-        backend_parity.graphs,
-        if backend_parity.selections_identical { "identical" } else { "DIVERGED" },
-        if backend_parity.labels_identical { "identical" } else { "DIVERGED" },
-        backend_parity.max_proba_diff,
-        backend_parity.max_grad_diff
     );
 
     eprintln!("[hotpaths] store: cold start vs serve-from-db ...");
@@ -1627,7 +1518,6 @@ fn main() {
         simd_matmul,
         simd_spmm,
         simd_segmented,
-        backend_parity,
         db_open,
         serve_from_db,
         serve_qps,

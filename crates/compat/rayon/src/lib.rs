@@ -33,23 +33,29 @@ pub fn current_num_threads() -> usize {
     gvex_obs::env::threads()
 }
 
+/// Estimated scalar operations below which [`should_fan_out`] keeps a
+/// region on the calling thread: roughly where spawning scoped worker
+/// threads starts to cost more than it saves, measured on the explain
+/// pipeline's fan-outs (the `explain_database` sections of
+/// `BENCH_hotpaths.json`).
+pub const PAR_THRESHOLD: usize = 1 << 18;
+
 /// True when a fan-out estimated at `estimated_ops` scalar operations
 /// should actually go parallel: more than one worker is requested, the
 /// machine has more than one hardware thread to run them on (a pool count
 /// forced above the available parallelism only adds spawn and timeslicing
 /// overhead — CPU-bound workers cannot beat sequential on one core), and
-/// the workload clears `GVEX_PAR_THRESHOLD`
-/// ([`gvex_obs::env::par_threshold`]). Gated call sites keep a sequential
-/// twin of their parallel loop and dispatch on this; both twins preserve
-/// input order, so the choice never changes results — only whether
-/// spawn/join overhead is paid.
+/// the workload clears [`PAR_THRESHOLD`]. Gated call sites keep a
+/// sequential twin of their parallel loop and dispatch on this; both twins
+/// preserve input order, so the choice never changes results — only
+/// whether spawn/join overhead is paid.
 ///
 /// Not part of real rayon's API; it lives here because the effective worker
 /// count (including [`ThreadPool::install`] overrides) does too.
 pub fn should_fan_out(estimated_ops: usize) -> bool {
     current_num_threads() > 1
         && gvex_obs::env::default_parallelism() > 1
-        && estimated_ops >= gvex_obs::env::par_threshold()
+        && estimated_ops >= PAR_THRESHOLD
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder` (only `num_threads`).

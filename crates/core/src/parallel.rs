@@ -9,11 +9,11 @@
 //! fan-out gate, the cost estimators, and batch prediction.
 //!
 //! Fan-outs are **adaptive**: [`run_adaptive`] estimates the workload in
-//! scalar operations and runs it sequentially when it falls below
-//! `GVEX_PAR_THRESHOLD` — on small databases, spawning worker threads costs
-//! more wall-clock than the explain work itself. Both branches preserve
-//! input order, so results stay bitwise identical across thread counts and
-//! threshold settings.
+//! scalar operations and runs it sequentially when it falls below the
+//! constant `rayon::PAR_THRESHOLD` — on small databases, spawning worker
+//! threads costs more wall-clock than the explain work itself. Both
+//! branches preserve input order, so results stay bitwise identical across
+//! thread counts.
 
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase};
@@ -21,7 +21,7 @@ use rayon::prelude::*;
 
 /// Cost-threshold switch for fan-outs: runs `f` over `items` sequentially
 /// on the calling thread when `estimated_ops` (a rough scalar-operation
-/// count for the whole workload) falls below the adaptive threshold or only
+/// count for the whole workload) falls below the fan-out threshold or only
 /// one worker is available, and across the rayon pool otherwise. Output
 /// order equals input order in both branches, so the dispatch is invisible
 /// to callers; the `core.parallel.{sequential,parallel}` counters record

@@ -7,7 +7,7 @@
 //! symmetrized for propagation, matching PyG's default `GCNConv` treatment.
 
 use gvex_graph::GraphRef;
-use gvex_linalg::backend::{self, Kernel};
+use gvex_linalg::backend::{KernelBackend, SimdBackend};
 use gvex_linalg::Matrix;
 use rayon::prelude::*;
 
@@ -202,12 +202,12 @@ impl NormAdj {
     }
 
     /// [`Self::matmul`] writing into a caller-owned output matrix (reshaped
-    /// with its allocation reused), dispatched through the active
+    /// with its allocation reused), on the lane kernels of
     /// [`gvex_linalg::backend`]. The layer loops of the batched trainer use
     /// this to reuse one propagation scratch across epochs.
     pub fn matmul_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows.len(), x.rows(), "NormAdj/matrix shape mismatch");
-        backend::dispatch(Kernel::Spmm).spmm_into(&self.rows, x, out);
+        SimdBackend.spmm_into(&self.rows, x, out);
     }
 
     /// Dense product `(I_B ⊗ Ã) · X`: applies `Ã` independently to each of
@@ -216,10 +216,8 @@ impl NormAdj {
     /// forward-mode seed in one call. Blocks fan out across rayon workers;
     /// each output row has exactly one writer with a fixed accumulation
     /// order, so results are bitwise independent of the thread count. The
-    /// per-row inner kernel is the active backend's (the default `simd`
-    /// backend accumulates neighbour contributions in registers with
-    /// `mul_add`), so entries can differ from a `scalar`-backend
-    /// [`Self::matmul`] by FMA rounding (≪ 1e-6 relative).
+    /// per-row inner kernel accumulates neighbour contributions in
+    /// registers with `mul_add`, as [`Self::matmul`] does.
     pub fn matmul_blocks(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_blocks_into(x, &mut out);
@@ -237,7 +235,7 @@ impl NormAdj {
     /// are exact zeros, so this changes results by at most the sign of a
     /// zero, and the per-block censuses keep the output bitwise independent
     /// of the rayon thread count. Blocks fan out only when the estimated
-    /// work clears the adaptive threshold ([`rayon::should_fan_out`]);
+    /// work clears the fan-out threshold ([`rayon::should_fan_out`]);
     /// small products run on the calling thread, computing identical bits.
     pub fn matmul_blocks_into(&self, x: &Matrix, out: &mut Matrix) {
         let n = self.rows.len();
@@ -250,7 +248,6 @@ impl NormAdj {
             return;
         }
         let src = x.as_slice();
-        let kernel = backend::dispatch(Kernel::SpmmBlocks);
         let run_block = |(b, chunk): (usize, &mut [f32])| {
             let x_block = &src[b * block_len..(b + 1) * block_len];
             let live_in: Vec<bool> = (0..n)
@@ -264,7 +261,7 @@ impl NormAdj {
                     continue; // output row stays zero
                 }
                 let out_row = &mut chunk[u * cols..(u + 1) * cols];
-                kernel.spmm_row(out_row, x_block, &filtered, cols);
+                SimdBackend.spmm_row(out_row, x_block, &filtered, cols);
             }
         };
         // blocks × nnz × cols multiply-adds, assuming every row live
@@ -285,7 +282,7 @@ impl NormAdj {
     pub fn matmul_transpose(&self, x: &Matrix) -> Matrix {
         assert_eq!(self.rows.len(), x.rows(), "NormAdj/matrix shape mismatch");
         let mut out = Matrix::zeros(0, 0);
-        backend::dispatch(Kernel::SpmmTranspose).spmm_transpose_into(&self.rows, x, &mut out);
+        SimdBackend.spmm_transpose_into(&self.rows, x, &mut out);
         out
     }
 

@@ -25,6 +25,11 @@ pub struct SelectionState {
 ///
 /// * `masks[u]` = `{v : I₂(u, v) ≥ θ}` — who `u` influences,
 /// * `balls[v]` = `{v' : d(X_v^k, X_{v'}^k) ≤ r}` — `v`'s embedding ball.
+///
+/// Its scoring methods ([`Self::gain`], [`Self::add`], [`Self::score_of`],
+/// …) are the one implementation of `I(V_s) + γ·D(V_s)`;
+/// [`StreamingInfluence`] fills a value of this type as nodes arrive and
+/// scores through it.
 #[derive(Clone, Debug)]
 pub struct InfluenceAnalysis {
     masks: Vec<BitSet>,
@@ -204,24 +209,33 @@ impl InfluenceAnalysis {
 /// `Ã^k` — a sparse `k`-step propagation touching `v`'s `k`-hop
 /// neighborhood — plus `v`'s embedding ball. Scores are therefore exact on
 /// the seen fraction of the stream, the precondition of the anytime
-/// ¼-approximation (Theorem 5.1).
+/// ¼-approximation (Theorem 5.1). Scoring goes through the
+/// [`InfluenceAnalysis`] it dereferences to, whose masks and balls it fills
+/// as nodes arrive.
 #[derive(Clone, Debug)]
 pub struct StreamingInfluence {
     adj: std::sync::Arc<NormAdj>,
     embeddings: Matrix,
     theta: f32,
     r: f32,
-    gamma: f32,
     k: usize,
-    n: usize,
     /// Estimated maximum pairwise embedding distance (sampled at
     /// construction), the normalizer for the ball radius.
     dist_scale: f32,
     seen: BitSet,
-    /// masks[u] accumulates v's as targets arrive: v ∈ masks[u] ⇔ seen(v) ∧ I₂(u,v) ≥ θ.
-    masks: Vec<BitSet>,
-    /// balls[v] filled on arrival of v (over all nodes; embedding space is known).
-    balls: Vec<BitSet>,
+    /// The scores over the seen stream: `masks[u]` accumulates `v`s as
+    /// targets arrive (`v ∈ masks[u] ⇔ seen(v) ∧ I₂(u,v) ≥ θ`), and
+    /// `balls[v]` is filled on arrival of `v` (over all nodes; the
+    /// embedding space is known).
+    scores: InfluenceAnalysis,
+}
+
+impl std::ops::Deref for StreamingInfluence {
+    type Target = InfluenceAnalysis;
+
+    fn deref(&self) -> &InfluenceAnalysis {
+        &self.scores
+    }
 }
 
 impl StreamingInfluence {
@@ -263,23 +277,15 @@ impl StreamingInfluence {
             dist_scale,
             theta,
             r,
-            gamma,
             k: model.config().layers,
-            n,
             seen: BitSet::new(n),
-            masks: vec![BitSet::new(n); n],
-            balls: vec![BitSet::new(n); n],
+            scores: InfluenceAnalysis {
+                masks: vec![BitSet::new(n); n],
+                balls: vec![BitSet::new(n); n],
+                gamma,
+                n,
+            },
         }
-    }
-
-    /// Number of nodes in the underlying graph.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// The diversity weight `γ`.
-    pub fn gamma(&self) -> f32 {
-        self.gamma
     }
 
     /// How many stream elements have arrived.
@@ -300,13 +306,14 @@ impl StreamingInfluence {
             return;
         }
         self.seen.insert(v);
+        let n = self.scores.n;
 
         // Sparse k-step propagation of e_v through Ã (symmetric rows).
-        let mut row = vec![0.0_f32; self.n];
+        let mut row = vec![0.0_f32; n];
         let mut touched = vec![v];
         row[v] = 1.0;
         for _ in 0..self.k {
-            let mut next = vec![0.0_f32; self.n];
+            let mut next = vec![0.0_f32; n];
             let mut next_touched = Vec::with_capacity(touched.len() * 4);
             for &i in &touched {
                 let ri = row[i];
@@ -326,72 +333,21 @@ impl StreamingInfluence {
         if sum > 0.0 {
             for &u in &touched {
                 if row[u] / sum >= self.theta {
-                    self.masks[u].insert(v);
+                    self.scores.masks[u].insert(v);
                 }
             }
         } else {
-            self.masks[v].insert(v);
+            self.scores.masks[v].insert(v);
         }
 
         // Embedding ball of v (radius normalized by the sampled spread).
         let ev = self.embeddings.row(v);
         let radius = self.r * self.dist_scale;
-        for w in 0..self.n {
+        for w in 0..n {
             if euclidean(ev, self.embeddings.row(w)) <= radius {
-                self.balls[v].insert(w);
+                self.scores.balls[v].insert(w);
             }
         }
-    }
-
-    /// An empty selection state.
-    pub fn empty_state(&self) -> SelectionState {
-        SelectionState { influenced: BitSet::new(self.n), diversity: BitSet::new(self.n) }
-    }
-
-    /// `I + γ·D` restricted to seen targets.
-    pub fn score(&self, st: &SelectionState) -> f64 {
-        st.influenced.count() as f64 + self.gamma as f64 * st.diversity.count() as f64
-    }
-
-    /// Marginal gain of adding arrived node `u`.
-    pub fn gain(&self, st: &SelectionState, u: NodeId) -> f64 {
-        let new_infl = st.influenced.new_elements(&self.masks[u]);
-        if new_infl == 0 {
-            return 0.0;
-        }
-        let mut div_union = st.diversity.clone();
-        for v in self.masks[u].iter() {
-            if !st.influenced.contains(v) {
-                div_union.union_with(&self.balls[v]);
-            }
-        }
-        let new_div = div_union.count() - st.diversity.count();
-        new_infl as f64 + self.gamma as f64 * new_div as f64
-    }
-
-    /// Adds `u` to the selection state.
-    pub fn add(&self, st: &mut SelectionState, u: NodeId) {
-        for v in self.masks[u].iter() {
-            if !st.influenced.contains(v) {
-                st.diversity.union_with(&self.balls[v]);
-            }
-        }
-        st.influenced.union_with(&self.masks[u]);
-    }
-
-    /// State for an explicit node set (rebuilt from scratch; sets are
-    /// bounded by `u_l`, so this is cheap).
-    pub fn state_of(&self, nodes: &[NodeId]) -> SelectionState {
-        let mut st = self.empty_state();
-        for &u in nodes {
-            self.add(&mut st, u);
-        }
-        st
-    }
-
-    /// `I + γD` of an explicit node set.
-    pub fn score_of(&self, nodes: &[NodeId]) -> f64 {
-        self.score(&self.state_of(nodes))
     }
 }
 

@@ -5,7 +5,7 @@
 //! correction. One [`Adam`] instance tracks first/second-moment state for one
 //! parameter matrix.
 
-use crate::backend::{self, AdamParams, Kernel};
+use crate::backend::{AdamParams, KernelBackend, SimdBackend};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -51,9 +51,9 @@ impl Adam {
 
     /// Applies one Adam update to `param` given gradient `grad`.
     ///
-    /// The element-wise update runs on the active [`crate::backend`]; the
-    /// per-element formula is fixed, so every backend produces bitwise
-    /// identical parameters.
+    /// The element-wise update runs on the lane kernels of
+    /// [`crate::backend`]; the per-element formula is fixed, so they match
+    /// the scalar oracle bitwise.
     pub fn step(&mut self, param: &mut Matrix, grad: &Matrix) {
         assert_eq!(param.shape(), self.m.shape(), "Adam shape mismatch");
         assert_eq!(param.shape(), grad.shape(), "Adam gradient shape mismatch");
@@ -66,7 +66,7 @@ impl Adam {
             bias2: 1.0 - self.beta2.powi(self.t as i32),
             eps: self.eps,
         };
-        backend::dispatch(Kernel::Adam).adam_update(
+        SimdBackend.adam_update(
             param.as_mut_slice(),
             grad.as_slice(),
             self.m.as_mut_slice(),

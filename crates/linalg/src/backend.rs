@@ -1,43 +1,34 @@
-//! Runtime-dispatched kernel backends.
+//! The kernel set and its test oracle.
 //!
 //! Every hot kernel in the numeric stack — dense matmul, the sparse
 //! propagation products, segmented readout reductions, activations, and the
-//! Adam update — is reachable through exactly one [`KernelBackend`], so the
-//! whole compute stack can be re-pointed at a different kernel family
-//! without touching a call site. Two implementations exist today:
+//! Adam update — is one method of [`KernelBackend`]. Two implementations
+//! exist, with different jobs:
 //!
-//! * [`ScalarBackend`] — the plain reference loops. This is the
-//!   *differential pin*: simple enough to audit by eye, bitwise-stable, and
-//!   what every other backend is property-tested against
-//!   (`crates/linalg/tests/backend.rs`).
 //! * [`SimdBackend`] — tiled / register-blocked lane kernels built on safe
 //!   fixed-width chunking (`chunks_exact` + `f32::mul_add`), which the
 //!   compiler autovectorizes; no `unsafe`, no intrinsics, no new
-//!   dependencies. This is the default.
-//!
-//! The active backend is chosen once per process from `GVEX_BACKEND`
-//! (`auto` | `scalar` | `simd`, parsed by [`gvex_obs::env::choice`]) and
-//! cached in an atomic, mirroring the `GVEX_OBS` toggle; [`set_active`]
-//! overrides it in process for benches and differential tests. `auto`
-//! resolves to [`SimdBackend`]: the lane kernels are safe Rust on every
-//! target, so there is no feature detection to do — the indirection exists
-//! for pinning, for differential testing, and for the mixed-precision /
-//! accelerator backends the roadmap plans.
+//!   dependencies. This is the one kernel set production code calls: the
+//!   wrappers in [`crate::matrix`], [`crate::ops`], [`crate::segmented`],
+//!   [`crate::adam`] and the propagation operator in `gvex-gnn` call it
+//!   statically, with no runtime selection.
+//! * [`ScalarBackend`] — the plain reference loops, simple enough to audit
+//!   by eye. It is the *oracle* the lane kernels are tested against
+//!   (`crates/linalg/tests/backend.rs`, `tests/kernels.rs`) and the
+//!   reference arm of the hotpaths kernel races; nothing in production
+//!   calls it. Tests reach it through [`backend`]`(BackendKind::Scalar)`.
 //!
 //! # Tolerance policy
 //!
 //! `relu` / `relu_backward`, the segmented reductions (including argmax
-//! ties), and the Adam update are **bitwise identical** across backends:
+//! ties), and the Adam update are **bitwise identical** to the oracle:
 //! their lane kernels keep the per-element operation and per-column
 //! accumulation order unchanged. The matmuls, sparse products, and softmax
 //! normalization reassociate sums or fuse multiply-adds, so they agree with
-//! the scalar backend to ≤ 1e-5 absolute on unit-scale inputs (pinned by
-//! the differential suite). Selections and labels must never differ — the
-//! parity section of `BENCH_hotpaths.json` gates that end to end.
+//! the oracle to ≤ 1e-5 absolute on unit-scale inputs.
 
 use crate::matrix::Matrix;
 use crate::{matrix, ops};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Alignment (bytes) that keeps any slice handed to the lane kernels on a
 /// full cache line / widest-vector boundary. On-disk containers that want
@@ -46,28 +37,21 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 /// aligns every section to it and rejects files that don't).
 pub const SIMD_ALIGN: usize = 64;
 
-/// Identity of a kernel backend (the census label and `GVEX_BACKEND` value).
+/// Identity of a kernel set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Plain reference loops — the differential pin.
+    /// Plain reference loops — the test oracle.
     Scalar,
-    /// Tiled / register-blocked lane kernels (the default).
+    /// Tiled / register-blocked lane kernels — what production runs.
     Simd,
 }
 
 impl BackendKind {
-    /// The census / `GVEX_BACKEND` spelling.
+    /// The lower-case name run metadata records.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            BackendKind::Scalar => 1,
-            BackendKind::Simd => 2,
         }
     }
 }
@@ -94,7 +78,7 @@ pub struct AdamParams {
 /// checks, sparsity censuses, rayon fan-out decisions) stays with the
 /// callers; implementations provide the inner arithmetic.
 pub trait KernelBackend: Send + Sync {
-    /// Which backend this is (drives the dispatch census labels).
+    /// Which kernel set this is.
     fn kind(&self) -> BackendKind;
 
     /// Dense product `lhs · rhs` into `out` (reshaped and overwritten,
@@ -169,101 +153,8 @@ pub trait KernelBackend: Send + Sync {
     );
 }
 
-/// Which kernel a dispatch census event is for (one counter per kernel per
-/// backend, mirroring the `LhsMode` census of the tiled matmul).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// Dense `matmul_into`.
-    Matmul,
-    /// Whole-operator sparse product (`NormAdj::matmul`).
-    Spmm,
-    /// Block-diagonal sparse product (`NormAdj::matmul_blocks_into`).
-    SpmmBlocks,
-    /// Transposed sparse product (`NormAdj::matmul_transpose`).
-    SpmmTranspose,
-    /// Segmented column sum.
-    SegmentedSum,
-    /// Segmented column mean.
-    SegmentedMean,
-    /// Segmented column max.
-    SegmentedMax,
-    /// ReLU forward.
-    Relu,
-    /// ReLU backward.
-    ReluBackward,
-    /// Row softmax (both the matrix and single-slice entry points).
-    Softmax,
-    /// Adam update step.
-    Adam,
-}
-
-/// Counter name for one `(kernel, backend)` census cell — a closed literal
-/// table so the hot path never formats a string.
-fn dispatch_counter(kernel: Kernel, kind: BackendKind) -> &'static str {
-    use BackendKind::{Scalar, Simd};
-    match (kernel, kind) {
-        (Kernel::Matmul, Scalar) => "linalg.backend.dispatch.matmul.scalar",
-        (Kernel::Matmul, Simd) => "linalg.backend.dispatch.matmul.simd",
-        (Kernel::Spmm, Scalar) => "linalg.backend.dispatch.spmm.scalar",
-        (Kernel::Spmm, Simd) => "linalg.backend.dispatch.spmm.simd",
-        (Kernel::SpmmBlocks, Scalar) => "linalg.backend.dispatch.spmm_blocks.scalar",
-        (Kernel::SpmmBlocks, Simd) => "linalg.backend.dispatch.spmm_blocks.simd",
-        (Kernel::SpmmTranspose, Scalar) => "linalg.backend.dispatch.spmm_transpose.scalar",
-        (Kernel::SpmmTranspose, Simd) => "linalg.backend.dispatch.spmm_transpose.simd",
-        (Kernel::SegmentedSum, Scalar) => "linalg.backend.dispatch.segmented_sum.scalar",
-        (Kernel::SegmentedSum, Simd) => "linalg.backend.dispatch.segmented_sum.simd",
-        (Kernel::SegmentedMean, Scalar) => "linalg.backend.dispatch.segmented_mean.scalar",
-        (Kernel::SegmentedMean, Simd) => "linalg.backend.dispatch.segmented_mean.simd",
-        (Kernel::SegmentedMax, Scalar) => "linalg.backend.dispatch.segmented_max.scalar",
-        (Kernel::SegmentedMax, Simd) => "linalg.backend.dispatch.segmented_max.simd",
-        (Kernel::Relu, Scalar) => "linalg.backend.dispatch.relu.scalar",
-        (Kernel::Relu, Simd) => "linalg.backend.dispatch.relu.simd",
-        (Kernel::ReluBackward, Scalar) => "linalg.backend.dispatch.relu_backward.scalar",
-        (Kernel::ReluBackward, Simd) => "linalg.backend.dispatch.relu_backward.simd",
-        (Kernel::Softmax, Scalar) => "linalg.backend.dispatch.softmax.scalar",
-        (Kernel::Softmax, Simd) => "linalg.backend.dispatch.softmax.simd",
-        (Kernel::Adam, Scalar) => "linalg.backend.dispatch.adam.scalar",
-        (Kernel::Adam, Simd) => "linalg.backend.dispatch.adam.simd",
-    }
-}
-
-/// All kernels, for census-table tests.
-#[cfg(test)]
-const ALL_KERNELS: [Kernel; 11] = [
-    Kernel::Matmul,
-    Kernel::Spmm,
-    Kernel::SpmmBlocks,
-    Kernel::SpmmTranspose,
-    Kernel::SegmentedSum,
-    Kernel::SegmentedMean,
-    Kernel::SegmentedMax,
-    Kernel::Relu,
-    Kernel::ReluBackward,
-    Kernel::Softmax,
-    Kernel::Adam,
-];
-
-/// 0 = uninitialised (consult `GVEX_BACKEND`), otherwise a
-/// [`BackendKind::code`]. The same cached-atomic shape as the `GVEX_OBS`
-/// runtime toggle: one relaxed load on the dispatch path after first use.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the one-shot `linalg.backend.selected.*` counter has been
-/// emitted (only while observation is on, so an enabled run always reports
-/// the backend it actually dispatched to).
-static SELECTED_REPORTED: AtomicBool = AtomicBool::new(false);
-
-fn kind_from_env() -> BackendKind {
-    match gvex_obs::env::choice("GVEX_BACKEND", &["auto", "scalar", "simd"]) {
-        Some("scalar") => BackendKind::Scalar,
-        // `auto`, `simd`, unset, and typos (warned once) all resolve to the
-        // lane kernels: safe Rust everywhere, nothing to feature-detect.
-        _ => BackendKind::Simd,
-    }
-}
-
-/// The statically-known backend for `kind` (differential tests race both
-/// sides through these handles without touching the process-global choice).
+/// The kernel set for `kind`: tests hold the [`ScalarBackend`] oracle next
+/// to the production [`SimdBackend`] through these handles.
 pub fn backend(kind: BackendKind) -> &'static dyn KernelBackend {
     match kind {
         BackendKind::Scalar => &ScalarBackend,
@@ -271,56 +162,15 @@ pub fn backend(kind: BackendKind) -> &'static dyn KernelBackend {
     }
 }
 
-/// The process-wide active backend. First use reads `GVEX_BACKEND`;
-/// afterwards this is a single relaxed atomic load.
+/// The kernel set production code runs — always [`SimdBackend`]; run
+/// metadata reads its [`KernelBackend::kind`].
 pub fn active() -> &'static dyn KernelBackend {
-    let kind = match ACTIVE.load(Ordering::Relaxed) {
-        1 => BackendKind::Scalar,
-        2 => BackendKind::Simd,
-        _ => {
-            let kind = kind_from_env();
-            ACTIVE.store(kind.code(), Ordering::Relaxed);
-            kind
-        }
-    };
-    backend(kind)
-}
-
-/// Overrides the active backend in process — benches race backends with
-/// this, and tests pin one side. Takes effect on the next [`active`] call.
-pub fn set_active(kind: BackendKind) {
-    ACTIVE.store(kind.code(), Ordering::Relaxed);
-}
-
-/// Re-reads `GVEX_BACKEND` and restores the environment-selected backend
-/// (undoes [`set_active`]).
-pub fn refresh_from_env() {
-    ACTIVE.store(kind_from_env().code(), Ordering::Relaxed);
-}
-
-/// The active backend for `kernel`, with the per-kernel / per-backend
-/// dispatch census updated — the one call every kernel wrapper goes
-/// through. The first observed dispatch also records which backend the
-/// process selected (`linalg.backend.selected.<name>`), so `OBS_report.json`
-/// names the backend a run executed on.
-pub fn dispatch(kernel: Kernel) -> &'static dyn KernelBackend {
-    let b = active();
-    if gvex_obs::enabled() {
-        let kind = b.kind();
-        gvex_obs::counter!(dispatch_counter(kernel, kind));
-        if !SELECTED_REPORTED.swap(true, Ordering::Relaxed) {
-            gvex_obs::counter!(match kind {
-                BackendKind::Scalar => "linalg.backend.selected.scalar",
-                BackendKind::Simd => "linalg.backend.selected.simd",
-            });
-        }
-    }
-    b
+    &SimdBackend
 }
 
 /// The plain reference loops: element-at-a-time arithmetic in a fixed
-/// order, with the exact per-element zero skip of the original kernels.
-/// Every other backend is differentially pinned against this one.
+/// order, with a per-element zero skip in the matmul. The test oracle that
+/// [`SimdBackend`] is pinned against; production never calls it.
 pub struct ScalarBackend;
 
 impl KernelBackend for ScalarBackend {
@@ -451,7 +301,8 @@ impl KernelBackend for ScalarBackend {
 /// Tiled / register-blocked lane kernels: fixed-width chunks (`[f32; W]`
 /// blocks via `chunks_exact`) accumulated in registers with `f32::mul_add`,
 /// which the compiler lowers to vector FMA under `-C target-cpu=native`.
-/// Safe Rust only — bounds-checked slices, no intrinsics.
+/// Safe Rust only — bounds-checked slices, no intrinsics. The kernels
+/// production code calls.
 pub struct SimdBackend;
 
 impl KernelBackend for SimdBackend {
@@ -710,42 +561,12 @@ fn seg_max_chunk<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-
-    #[test]
-    fn census_table_names_are_unique_and_well_formed() {
-        let mut seen = BTreeSet::new();
-        for &kernel in &ALL_KERNELS {
-            for kind in [BackendKind::Scalar, BackendKind::Simd] {
-                let name = dispatch_counter(kernel, kind);
-                assert!(name.starts_with("linalg.backend.dispatch."), "{name}");
-                assert!(name.ends_with(kind.name()), "{name}");
-                assert!(seen.insert(name), "duplicate census counter {name}");
-            }
-        }
-        assert_eq!(seen.len(), 2 * ALL_KERNELS.len());
-    }
-
-    #[test]
-    fn set_active_round_trips_and_env_refresh_restores() {
-        // exercise the override used by benches / differential tests; the
-        // suite's other tests pass under either backend, so a transient
-        // override is safe
-        set_active(BackendKind::Scalar);
-        assert_eq!(active().kind(), BackendKind::Scalar);
-        set_active(BackendKind::Simd);
-        assert_eq!(active().kind(), BackendKind::Simd);
-        refresh_from_env();
-        // GVEX_BACKEND is unset (or explicit) in the test environment;
-        // whatever it says, the cached choice must now match a fresh parse
-        let want = kind_from_env();
-        assert_eq!(active().kind(), want);
-    }
 
     #[test]
     fn backend_handles_report_their_kind() {
         assert_eq!(backend(BackendKind::Scalar).kind(), BackendKind::Scalar);
         assert_eq!(backend(BackendKind::Simd).kind(), BackendKind::Simd);
+        assert_eq!(active().kind(), BackendKind::Simd);
         assert_eq!(BackendKind::Scalar.name(), "scalar");
         assert_eq!(BackendKind::Simd.name(), "simd");
     }

@@ -6,9 +6,8 @@
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the handful of BLAS-like
 //!   operations a message-passing GNN needs (matmul, transpose, row ops),
-//! * [`backend`] — the runtime-dispatched kernel backends every hot kernel
-//!   routes through (`GVEX_BACKEND`: scalar reference loops vs. the default
-//!   autovectorized lane kernels),
+//! * [`backend`] — the autovectorized lane kernels every hot kernel runs
+//!   on, and the scalar reference loops kept as their test oracle,
 //! * [`kernels`] — shared register-accumulating row kernels for the sparse
 //!   propagation and batched-Jacobian hot paths,
 //! * [`ops`] — element-wise activations, row-wise softmax, and the

@@ -187,7 +187,7 @@ impl Matrix {
     /// that is reused across every output row. Full-width row blocks go
     /// through an `MR × NR` register micro-kernel whose inner step is a
     /// fused multiply-add (`f32::mul_add`), so results can differ from the
-    /// scalar backend's reference loops by the usual FMA rounding (≪ 1e-5
+    /// scalar oracle's reference loops by the usual FMA rounding (≪ 1e-5
     /// relative; the differential property tests pin this). Accumulation
     /// order over `k` is the same ascending order as the reference kernel.
     /// Above [`PAR_MACS_THRESHOLD`] multiply-accumulates the row blocks fan
@@ -211,18 +211,16 @@ impl Matrix {
     /// that multiply in place every iteration — the batched Jacobian above
     /// all — use this to avoid re-faulting fresh zero pages per product.
     ///
-    /// Dispatches through the active [`crate::backend`]: the default `simd`
-    /// backend runs the tiled micro-kernel described on [`Self::matmul`],
-    /// the `scalar` backend the naive i-k-j reference loops with a
-    /// per-element zero skip.
+    /// Runs the tiled micro-kernel described on [`Self::matmul`].
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        crate::backend::dispatch(crate::backend::Kernel::Matmul).matmul_into(self, rhs, out);
+        matmul_into_tiled(self, rhs, out);
     }
+
     /// Transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -371,8 +369,8 @@ impl Matrix {
 
 /// The reference product — naive i-k-j loops with the per-element zero
 /// skip — written into `out` (reshaped, allocation reused). This is the
-/// `scalar` backend's matmul and the ground truth the differential suite
-/// pins every other backend against. Shapes are validated by the callers.
+/// scalar oracle's matmul, the ground truth the tiled kernel is tested
+/// against. Shapes are validated by the callers.
 pub(crate) fn matmul_into_scalar(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
     out.reset_zeroed(lhs.rows, rhs.cols);
     for i in 0..lhs.rows {
@@ -390,10 +388,11 @@ pub(crate) fn matmul_into_scalar(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// The tiled / register-blocked product behind the `simd` backend: the
-/// one-pass sparsity census, mode selection, and rayon row fan-out
-/// documented on [`Matrix::matmul`], writing into `out` (reshaped,
-/// allocation reused). Shapes are validated by the callers.
+/// The tiled / register-blocked product behind [`Matrix::matmul_into`]
+/// and the lane kernel set: the one-pass sparsity census, mode selection,
+/// and rayon row fan-out documented on [`Matrix::matmul`], writing into
+/// `out` (reshaped, allocation reused). Shapes are validated by the
+/// callers.
 pub(crate) fn matmul_into_tiled(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
     out.reset_zeroed(lhs.rows, rhs.cols);
     if lhs.rows == 0 || lhs.cols == 0 || rhs.cols == 0 {

@@ -4,7 +4,7 @@
 //! forward operation comes with the matching backward (VJP) used by the
 //! trainer and by the mask-learning baseline explainers.
 
-use crate::backend::{self, Kernel};
+use crate::backend::{KernelBackend, SimdBackend};
 use crate::matrix::Matrix;
 
 /// The stable-exp core shared by every softmax in the crate (and the fused
@@ -25,7 +25,7 @@ pub(crate) fn stable_exp_in_place(row: &mut [f32]) -> (f32, f32) {
 /// ReLU applied element-wise, returning a new matrix.
 pub fn relu(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    backend::dispatch(Kernel::Relu).relu(out.as_mut_slice());
+    SimdBackend.relu(out.as_mut_slice());
     out
 }
 
@@ -35,16 +35,15 @@ pub fn relu(x: &Matrix) -> Matrix {
 pub fn relu_backward(x: &Matrix, grad_out: &Matrix) -> Matrix {
     assert_eq!(x.shape(), grad_out.shape(), "relu_backward shape mismatch");
     let mut g = grad_out.clone();
-    backend::dispatch(Kernel::ReluBackward).relu_backward(x.as_slice(), g.as_mut_slice());
+    SimdBackend.relu_backward(x.as_slice(), g.as_mut_slice());
     g
 }
 
 /// Numerically-stable row-wise softmax.
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    let b = backend::dispatch(Kernel::Softmax);
     for r in 0..out.rows() {
-        b.softmax_row(out.row_mut(r));
+        SimdBackend.softmax_row(out.row_mut(r));
     }
     out
 }
@@ -71,7 +70,7 @@ pub fn cross_entropy_with_grad(logits: &[f32], target: usize) -> (f32, Vec<f32>)
 /// Softmax over a single slice (probability distribution over classes).
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let mut out = logits.to_vec();
-    backend::dispatch(Kernel::Softmax).softmax_row(&mut out);
+    SimdBackend.softmax_row(&mut out);
     out
 }
 

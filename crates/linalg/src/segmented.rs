@@ -13,7 +13,7 @@
 //! Empty segments (zero-node graphs riding in a batch) reduce to a zero
 //! row, matching what the per-graph readout produces for the empty graph.
 
-use crate::backend::{self, Kernel};
+use crate::backend::{KernelBackend, SimdBackend};
 use crate::matrix::Matrix;
 
 /// Validates the offsets table against the stacked matrix: monotone
@@ -36,7 +36,7 @@ pub fn segmented_col_max(x: &Matrix, offsets: &[usize]) -> (Matrix, Vec<usize>) 
     let cols = x.cols();
     let mut out = Matrix::zeros(segments, cols);
     let mut arg = vec![0usize; segments * cols];
-    backend::dispatch(Kernel::SegmentedMax).segmented_col_max(x, offsets, &mut out, &mut arg);
+    SimdBackend.segmented_col_max(x, offsets, &mut out, &mut arg);
     (out, arg)
 }
 
@@ -44,7 +44,7 @@ pub fn segmented_col_max(x: &Matrix, offsets: &[usize]) -> (Matrix, Vec<usize>) 
 pub fn segmented_col_sum(x: &Matrix, offsets: &[usize]) -> Matrix {
     let segments = check_offsets(x, offsets);
     let mut out = Matrix::zeros(segments, x.cols());
-    backend::dispatch(Kernel::SegmentedSum).segmented_col_sum(x, offsets, &mut out);
+    SimdBackend.segmented_col_sum(x, offsets, &mut out);
     out
 }
 
@@ -55,7 +55,7 @@ pub fn segmented_col_sum(x: &Matrix, offsets: &[usize]) -> Matrix {
 pub fn segmented_col_mean(x: &Matrix, offsets: &[usize]) -> Matrix {
     let segments = check_offsets(x, offsets);
     let mut out = Matrix::zeros(segments, x.cols());
-    backend::dispatch(Kernel::SegmentedMean).segmented_col_mean(x, offsets, &mut out);
+    SimdBackend.segmented_col_mean(x, offsets, &mut out);
     out
 }
 

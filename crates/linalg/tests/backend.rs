@@ -1,11 +1,12 @@
-//! Differential pinning of the `simd` backend against the `scalar`
-//! reference backend.
+//! Differential pinning of the lane kernels (`simd`, what production runs)
+//! against the `scalar` oracle.
 //!
-//! Every kernel of [`gvex_linalg::backend::KernelBackend`] is raced through
-//! both statically-known backend handles (never the process-global active
-//! backend — these tests run concurrently with others) across ragged
-//! shapes, empty matrices, and column counts that are not multiples of the
-//! lane widths. The tolerance policy under test:
+//! Every kernel of [`gvex_linalg::backend::KernelBackend`] is run through
+//! both backend handles across random ragged shapes, empty matrices, and
+//! column counts that are not multiples of the lane widths. The
+//! fixed-seed `tests/kernels.rs` of the root package checks the production
+//! call sites at the shapes the model runs. The tolerance policy under
+//! test:
 //!
 //! * **bitwise**: `relu`, `relu_backward`, the segmented reductions
 //!   (values *and* argmax tie-breaks), and the Adam update — their lane
@@ -217,58 +218,6 @@ fn handles_are_static_and_distinct() {
     let v: &'static dyn KernelBackend = backend(SIMD);
     assert_eq!(s.kind(), SCALAR);
     assert_eq!(v.kind(), SIMD);
-}
-
-/// The dispatch census under a pinned scalar backend: every kernel's
-/// `.scalar` census cell increments, and the one-shot
-/// `linalg.backend.selected.*` counter names scalar — the assertions
-/// `ci.sh` relies on when it re-runs the suite under `GVEX_BACKEND=scalar`.
-/// This binary's other tests only use the statically-known handles, so the
-/// process-global active backend (and the one-shot) belong to this test.
-#[test]
-fn scalar_dispatch_census_is_recorded() {
-    use gvex_linalg::backend::{dispatch, refresh_from_env, set_active, Kernel};
-    gvex_obs::set_enabled(true);
-    if !gvex_obs::enabled() {
-        return; // obs feature compiled out: the census is legitimately absent
-    }
-    let value = |name: &str| {
-        gvex_obs::metrics::counters().into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
-    };
-    let kernels = [
-        (Kernel::Matmul, "matmul"),
-        (Kernel::Spmm, "spmm"),
-        (Kernel::SpmmBlocks, "spmm_blocks"),
-        (Kernel::SpmmTranspose, "spmm_transpose"),
-        (Kernel::SegmentedSum, "segmented_sum"),
-        (Kernel::SegmentedMean, "segmented_mean"),
-        (Kernel::SegmentedMax, "segmented_max"),
-        (Kernel::Relu, "relu"),
-        (Kernel::ReluBackward, "relu_backward"),
-        (Kernel::Softmax, "softmax"),
-        (Kernel::Adam, "adam"),
-    ];
-    set_active(SCALAR);
-    let before: Vec<u64> = kernels
-        .iter()
-        .map(|(_, n)| value(&format!("linalg.backend.dispatch.{n}.scalar")))
-        .collect();
-    for (k, _) in kernels {
-        assert_eq!(dispatch(k).kind(), SCALAR);
-    }
-    for (i, (_, n)) in kernels.iter().enumerate() {
-        let name = format!("linalg.backend.dispatch.{n}.scalar");
-        assert_eq!(value(&name), before[i] + 1, "{name} did not increment");
-    }
-    refresh_from_env();
-    // The one-shot fired exactly once, and — because the first observed
-    // dispatch in this process was pinned scalar — it named scalar.
-    let counters = gvex_obs::metrics::counters();
-    let selected: Vec<_> =
-        counters.iter().filter(|(n, _)| n.starts_with("linalg.backend.selected.")).collect();
-    assert_eq!(selected.len(), 1, "one-shot selected counter: {selected:?}");
-    assert_eq!(selected[0].0, "linalg.backend.selected.scalar");
-    assert_eq!(selected[0].1, 1);
 }
 
 /// Degenerate shapes: empty operands must produce empty (or zero) outputs

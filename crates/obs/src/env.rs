@@ -4,6 +4,11 @@
 //! to the machine default — never abort a run over a typo) instead of each
 //! crate hand-rolling its own `std::env::var` dance. This module is always
 //! compiled, independent of the `enabled` feature.
+//!
+//! The environment carries the worker count and the observation switches
+//! (`GVEX_OBS*`) only. Which kernels run, whether a store is memory-mapped
+//! and when a region fans out are decided by the code itself, so every
+//! input has one set of output bytes and one configuration to test.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -101,54 +106,6 @@ pub fn default_parallelism() -> usize {
     *CACHED.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Default for [`par_threshold`]: roughly the scalar-operation count below
-/// which spawning scoped worker threads costs more than it saves, measured
-/// on the explain pipeline's fan-outs (see `BENCH_hotpaths.json`).
-pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 18;
-
-/// The adaptive-parallelism cost threshold in estimated scalar operations:
-/// gated fan-outs whose workload estimate falls below it run sequentially
-/// on the calling thread; larger ones go parallel (given more than one
-/// worker *and* more than one hardware thread — see
-/// `rayon::should_fan_out`). `GVEX_PAR_THRESHOLD=0` removes the cost bar
-/// entirely; a malformed value warns once and falls back to
-/// [`DEFAULT_PAR_THRESHOLD`]. Both branches of every gate preserve input
-/// order, so the setting never changes results — only thread-spawn
-/// overhead.
-pub fn par_threshold() -> usize {
-    match parse_usize("GVEX_PAR_THRESHOLD") {
-        Ok(Some(n)) => n,
-        Ok(None) => DEFAULT_PAR_THRESHOLD,
-        Err(err) => {
-            warn_once("GVEX_PAR_THRESHOLD", &format!("{err}; using the default threshold"));
-            DEFAULT_PAR_THRESHOLD
-        }
-    }
-}
-
-/// Parses an enumerated setting against a closed list of spellings,
-/// returning the matching entry of `allowed` (comparison is trimmed and
-/// case-insensitive, so `GVEX_BACKEND=Simd` selects `"simd"`). Unset reads
-/// as `None`; an unrecognized value warns once and also reads as `None`, so
-/// a typo falls back to the caller's default instead of failing the run.
-pub fn choice(var: &str, allowed: &'static [&'static str]) -> Option<&'static str> {
-    let raw = string(var)?;
-    let lower = raw.trim().to_ascii_lowercase();
-    match allowed.iter().find(|&&a| a == lower) {
-        Some(&hit) => Some(hit),
-        None => {
-            warn_once(
-                var,
-                &format!(
-                    "invalid {var}={raw:?}: expected one of {}; treating as unset",
-                    allowed.join("/")
-                ),
-            );
-            None
-        }
-    }
-}
-
 static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// Prints `msg` to stderr the first time `var` misparses in this process;
@@ -200,29 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn choice_matches_case_insensitively_and_falls_back() {
-        const ALLOWED: &[&str] = &["auto", "scalar", "simd"];
-        std::env::set_var("GVEX_OBS_TEST_CHOICE", " Simd ");
-        assert_eq!(choice("GVEX_OBS_TEST_CHOICE", ALLOWED), Some("simd"));
-        std::env::set_var("GVEX_OBS_TEST_CHOICE_BAD", "avx9000");
-        assert_eq!(choice("GVEX_OBS_TEST_CHOICE_BAD", ALLOWED), None);
-        assert_eq!(choice("GVEX_OBS_TEST_CHOICE_UNSET", ALLOWED), None);
-    }
-
-    #[test]
     fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
-    }
-
-    #[test]
-    fn par_threshold_parses_and_falls_back() {
-        std::env::set_var("GVEX_PAR_THRESHOLD", "4096");
-        assert_eq!(par_threshold(), 4096);
-        std::env::set_var("GVEX_PAR_THRESHOLD", "0");
-        assert_eq!(par_threshold(), 0);
-        std::env::set_var("GVEX_PAR_THRESHOLD", "not-a-number");
-        assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD);
-        std::env::remove_var("GVEX_PAR_THRESHOLD");
-        assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD);
     }
 }

@@ -19,8 +19,10 @@
 //!   new one, and nothing blocks beyond the pointer swap.
 //! * **Shutdown** sets a flag and self-connects to unblock the blocking
 //!   `accept`; the accept thread exits, dropping the queue sender, which
-//!   drains the workers. In-flight connections finish their current frame
-//!   loop.
+//!   drains the workers. It also shuts down the read half of every live
+//!   connection, so a worker waiting on an idle client sees end-of-stream
+//!   instead of blocking the join forever. A request already being
+//!   answered still gets its reply.
 //! * **Mutate** requests feed an [`IngestEngine`] behind its own mutex:
 //!   mutations patch the engine's private copy of the database and views
 //!   incrementally, while reads keep answering from the last published
@@ -34,11 +36,12 @@ use crate::cache::{AnswerCache, CacheStats};
 use crate::protocol::{read_frame, write_frame, Request, Response};
 use crate::state::{answer, cache_key, config_for, ServeState};
 use gvex_ingest::IngestEngine;
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -88,6 +91,12 @@ struct Shared {
     /// reload means "go back to what the store says").
     ingest: Mutex<Option<IngestEngine>>,
     epoch_interval: usize,
+    /// A handle on every connection a worker is serving, by id, so
+    /// shutdown can wake workers blocked reading from idle clients. Each
+    /// update is one insert or remove, so the map stays consistent even
+    /// if a holder panicked; its lock is taken poisoned or not.
+    live: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
 }
 
 /// A running server. Dropping it shuts the daemon down and joins every
@@ -112,6 +121,8 @@ impl Server {
             addr: local,
             ingest: Mutex::new(None),
             epoch_interval: cfg.epoch_interval.max(1),
+            live: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
         });
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(cfg.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -149,11 +160,10 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// Requests shutdown and joins every thread. Idempotent; also runs on
-    /// drop.
+    /// Requests shutdown and joins every thread, without waiting for
+    /// connected clients to hang up. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        wake_accept(self.shared.addr);
+        begin_shutdown(&self.shared);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -179,9 +189,38 @@ impl Drop for Server {
     }
 }
 
-/// Unblocks a blocking `accept` after the shutdown flag is set.
-fn wake_accept(addr: SocketAddr) {
-    let _ = TcpStream::connect(addr);
+/// Sets the shutdown flag, unblocks the blocking `accept`, and shuts down
+/// the read half of every live connection: a worker waiting for an idle
+/// client's next frame reads end-of-stream and returns, while replies
+/// still in flight (the `shutdown` request's own included) go out.
+fn begin_shutdown(shared: &Shared) {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(shared.addr);
+    for stream in shared.live.lock().unwrap_or_else(PoisonError::into_inner).values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+}
+
+/// Registers a connection in [`Shared::live`] for as long as it is held.
+struct LiveConn<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl<'a> LiveConn<'a> {
+    fn register(shared: &'a Shared, stream: &TcpStream) -> Self {
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        if let Ok(handle) = stream.try_clone() {
+            shared.live.lock().unwrap_or_else(PoisonError::into_inner).insert(id, handle);
+        }
+        Self { shared, id }
+    }
+}
+
+impl Drop for LiveConn<'_> {
+    fn drop(&mut self) {
+        self.shared.live.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.id);
+    }
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
@@ -233,6 +272,12 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
 }
 
 fn handle_conn(shared: &Shared, mut stream: TcpStream) {
+    // Registered before the flag check: a shutdown either sees this
+    // connection in the live set or has set the flag this check reads.
+    let _live = LiveConn::register(shared, &stream);
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return;
+    }
     let _ = stream.set_nodelay(true);
     gvex_obs::counter!("serve.connections");
     loop {
@@ -267,8 +312,7 @@ fn dispatch(shared: &Shared, req: &Request) -> (Response, bool) {
     match req.kind.as_str() {
         "shutdown" => {
             gvex_obs::counter!("serve.shutdowns");
-            shared.shutdown.store(true, Ordering::SeqCst);
-            wake_accept(shared.addr);
+            begin_shutdown(shared);
             (Response::success("{\"stopping\":true}".to_string()), true)
         }
         "reload" => (do_reload(shared, &req.path), false),

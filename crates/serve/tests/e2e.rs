@@ -321,9 +321,11 @@ fn mutate_publishes_epochs_and_invalidates_only_affected_answers() {
     assert_eq!(server.generation(), 0);
 
     // commit: the epoch publishes through the same atomic swap a reload
-    // uses, and only the dirty (old fingerprint, class) entries die —
-    // here exactly the class-0 explain answer (graph 0 has truth 0);
-    // class 1's cached answer is untouched
+    // uses and frees the dirty (old fingerprint, class) slots early — here
+    // exactly the class-0 explain answer (graph 0 has truth 0). Class 1's
+    // entry is not freed, but it is stranded all the same: every key
+    // carries the global fingerprint, which each publish flips, so every
+    // class misses after the epoch
     let resp = client.call(&Request { upper: Some(4), ..Request::commit() }).unwrap();
     assert!(resp.ok, "commit failed: {}", resp.error);
     assert!(resp.body.contains("\"published\":true"), "{}", resp.body);

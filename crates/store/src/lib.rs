@@ -9,9 +9,10 @@
 //! 64-byte boundary so the mapped bytes feed the SIMD kernels directly.
 //!
 //! * [`writer::write_store`] builds the file (`gvex db build`);
-//! * [`Store::open`] memory-maps it (hand-rolled `mmap`, heap-read
-//!   fallback; `GVEX_STORE_MMAP=auto|mmap|read`) and validates header,
-//!   table, and section CRCs with O(1) allocation w.r.t. data size;
+//! * [`Store::open`] memory-maps it (hand-rolled `mmap` where the platform
+//!   has the syscall wrapper, one aligned heap read elsewhere) and
+//!   validates header, table, and section CRCs with O(1) allocation
+//!   w.r.t. data size;
 //! * [`Store::graph`] serves borrowed [`gvex_graph::CsrGraph`]s straight
 //!   off the mapping — zero copies on the read path — while
 //!   [`Store::database`] / [`Store::model`] / [`Store::views_json`]

@@ -3,11 +3,11 @@
 //! The zero-copy open path wants the file's bytes addressable in place.
 //! On Linux (x86-64 / AArch64) [`Mapping::open`] issues the `mmap` /
 //! `munmap` syscalls directly via inline assembly — no new dependencies,
-//! no `libc` crate — wrapped so the only `unsafe` lives here. Everywhere
-//! else (or under `GVEX_STORE_MMAP=read`) the file is read into a 64-byte
-//! aligned heap buffer instead: one allocation and one copy, same
-//! alignment guarantees, so every consumer above this module is identical
-//! across the two modes.
+//! no `libc` crate — wrapped so the only `unsafe` lives here. On every
+//! other platform, or if the kernel refuses the mapping, the file is read
+//! into a 64-byte aligned heap buffer instead: one allocation and one copy,
+//! same alignment guarantees, so every consumer above this module is
+//! identical across the two modes.
 //!
 //! `mmap` returns page-aligned addresses (≥ 4 KiB), and the heap fallback
 //! allocates 64-byte-aligned chunks, so in both modes a section placed on a
@@ -19,14 +19,6 @@ use std::fs::File;
 use std::io::Read;
 use std::ops::Deref;
 use std::path::Path;
-
-/// Chosen via `GVEX_STORE_MMAP` (`auto` | `mmap` | `read`). `auto` maps
-/// where the syscall wrapper exists and falls back to reading otherwise;
-/// `mmap` insists (erroring on unsupported platforms); `read` always
-/// copies into the aligned heap buffer.
-fn requested_mode() -> &'static str {
-    gvex_obs::env::choice("GVEX_STORE_MMAP", &["auto", "mmap", "read"]).unwrap_or("auto")
-}
 
 /// A 64-byte-aligned heap buffer (the portable mapping mode). Alignment
 /// comes from the element type: the backing store is a `Vec` of 64-byte
@@ -133,7 +125,8 @@ pub enum Mapping {
         /// Mapped length in bytes (the exact file length).
         len: usize,
     },
-    /// Aligned heap copy (fallback / `GVEX_STORE_MMAP=read`).
+    /// Aligned heap copy (platforms without the syscall wrapper, refused
+    /// mappings, empty files).
     Heap(AlignedBuf),
 }
 
@@ -143,9 +136,10 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Opens `path` and makes its entire contents addressable, honoring
-    /// `GVEX_STORE_MMAP`. Zero-length files yield an empty heap mapping
-    /// (`mmap` rejects length 0).
+    /// Opens `path` and makes its entire contents addressable: mapped where
+    /// the syscall wrapper exists, read into the aligned heap buffer
+    /// otherwise. Zero-length files yield an empty heap mapping (`mmap`
+    /// rejects length 0).
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -153,16 +147,9 @@ impl Mapping {
             return Err(StoreError::Malformed("file exceeds addressable memory".into()));
         }
         let len = len as usize;
-        let mode = requested_mode();
-        if len > 0 && mode != "read" {
-            match Self::try_map(&file, len) {
-                Some(m) => return Ok(m),
-                None if mode == "mmap" => {
-                    return Err(StoreError::Malformed(
-                        "GVEX_STORE_MMAP=mmap but mapping is unavailable on this platform".into(),
-                    ))
-                }
-                None => {}
+        if len > 0 {
+            if let Some(m) = Self::try_map(&file, len) {
+                return Ok(m);
             }
         }
         Ok(Mapping::Heap(AlignedBuf::read_from(&mut file, len)?))
@@ -233,7 +220,9 @@ mod tests {
         let p = tmp("contents", b"hello mapping");
         let m = Mapping::open(&p).unwrap();
         assert_eq!(&m[..], b"hello mapping");
-        assert!(m.kind() == "mmap" || m.kind() == "read");
+        let mapped =
+            cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")));
+        assert_eq!(m.kind(), if mapped { "mmap" } else { "read" });
         drop(m);
         std::fs::remove_file(&p).ok();
     }

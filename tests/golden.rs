@@ -5,15 +5,13 @@
 //!
 //! A refactor that claims "same behaviour" keeps these constants
 //! unchanged; an intended output change appears as a reviewed edit of
-//! them. Floating-point kernels may round differently per backend, so the
-//! table is chosen by the active `GVEX_BACKEND`.
+//! them. Production runs one kernel set, so there is one table.
 
 use gvex::core::{Configuration, ExplainSession, GreedyStrategy, NodeExplanation};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, Split};
-use gvex::linalg::backend::{self, BackendKind};
 
-/// Digests under the lane-kernel backend (the default, and `auto`).
+/// Digests under the lane kernels, the one kernel set production runs.
 const GOLDEN_SIMD: [(&str, u64); 7] = [
     ("MUT", 0x22a8_8698_b4b8_6a7c),
     ("RED", 0xd0b1_27ea_d548_ec83),
@@ -22,17 +20,6 @@ const GOLDEN_SIMD: [(&str, u64); 7] = [
     ("PCQ", 0x205f_2fde_95bd_1221),
     ("PRO", 0x2dbf_e198_bb4c_045e),
     ("SYN", 0x3c13_ff8a_f237_755d),
-];
-
-/// Digests under the scalar reference backend.
-const GOLDEN_SCALAR: [(&str, u64); 7] = [
-    ("MUT", 0x5e69_06cf_13aa_bd34),
-    ("RED", 0x0611_f7af_e0a2_466e),
-    ("ENZ", 0xf48c_4aa4_d063_fb76),
-    ("MAL", 0x203c_17ca_d1cc_819a),
-    ("PCQ", 0x6adb_08f3_b746_14e2),
-    ("PRO", 0x952f_ba68_7b63_6bfb),
-    ("SYN", 0xd3f3_9647_5c8c_a3df),
 ];
 
 /// FNV-1a over a byte stream, continuing from `h`.
@@ -88,23 +75,13 @@ fn digest(kind: DatasetKind) -> u64 {
 
 #[test]
 fn golden_digests_are_unchanged() {
-    let kind = backend::active().kind();
-    let table = match kind {
-        BackendKind::Simd => GOLDEN_SIMD,
-        BackendKind::Scalar => GOLDEN_SCALAR,
-    };
     let mut drifted = Vec::new();
-    for (dataset, (name, expected)) in DatasetKind::all().into_iter().zip(table) {
+    for (dataset, (name, expected)) in DatasetKind::all().into_iter().zip(GOLDEN_SIMD) {
         assert_eq!(dataset.short_name(), name, "table order follows DatasetKind::all()");
         let got = digest(dataset);
         if got != expected {
             drifted.push(format!("(\"{name}\", 0x{got:016x}),"));
         }
     }
-    assert!(
-        drifted.is_empty(),
-        "golden digests drifted under the {} backend:\n{}",
-        kind.name(),
-        drifted.join("\n")
-    );
+    assert!(drifted.is_empty(), "golden digests drifted:\n{}", drifted.join("\n"));
 }

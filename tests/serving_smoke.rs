@@ -80,8 +80,18 @@ fn ingest_snapshot_and_daemon_round_trip() {
     assert!(resp.ok, "mutate failed: {}", resp.error);
     assert!(resp.body.contains("\"published\":true"), "{}", resp.body);
     assert_eq!(server.generation(), 1);
-    // a worker serves its connection until the client hangs up
+
+    // shutdown returns while the client still holds its idle connection;
+    // it runs on a helper thread so a hang fails the test instead of
+    // stalling the suite
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).ok();
+    });
+    let stopped = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+    assert!(stopped.is_ok(), "Server::shutdown blocked on a connected idle client");
+    stopper.join().expect("shutdown thread panicked");
     drop(client);
-    server.shutdown();
     std::fs::remove_file(&path).ok();
 }
