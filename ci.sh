@@ -23,6 +23,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# The serving benchmark is its own cargo workspace on path dependencies: a
+# change to an API it calls, or a new dependency edge that would rewrite
+# its lock file, fails here instead of at the benchmark run.
+echo "==> cargo build servebench (--locked)"
+cargo build --release --offline --locked --manifest-path servebench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace --release
 

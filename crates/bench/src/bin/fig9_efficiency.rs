@@ -140,10 +140,12 @@ fn main() {
         let prep = prepare_from_with_epochs(kind, db, 30);
         let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
         for &threads in &[1usize, 2, 4, 8] {
+            let pool =
+                rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
             let (_, secs) = timed(|| {
-                ExplainSession::new(&prep.model, gvex_config(10))
-                    .expect("valid configuration")
-                    .explain_parallel(&GreedyStrategy, &prep.db, &labels, threads)
+                let sess =
+                    ExplainSession::new(&prep.model, gvex_config(10)).expect("valid configuration");
+                pool.install(|| sess.explain(&GreedyStrategy, &prep.db, &labels))
             });
             println!("{:<6} {threads:>4} {secs:>10.2}", kind.short_name());
             out.e_parallel.push((kind.short_name().into(), threads, secs));

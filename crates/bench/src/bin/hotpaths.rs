@@ -12,9 +12,9 @@
 //!    prebuilt [`MatchIndex`]) vs the retained reference engine, racing a
 //!    6-node typed path pattern against a ~200-node target (target ≥ 3×).
 //!    Both engines must report the same embedding count.
-//! 3. End-to-end explain wall time through the session's parallel driver
-//!    (a fresh session per timed call, so every run pays the cold work) on
-//!    a small motif database, at 1 and 4 threads (identical output by
+//! 3. End-to-end explain wall time through the session's driver inside a
+//!    1- and a 4-thread pool (a fresh session per timed call, so every run
+//!    pays the cold work) on a small motif database (identical output by
 //!    construction; the adaptive fan-out gate must keep the 4-thread run
 //!    from regressing on a workload this small), then on a larger database
 //!    whose workload clears the fan-out threshold and fans out on
@@ -570,15 +570,14 @@ fn bench_explain() -> (ExplainBench, ExplainScaleBench) {
     let (model, _) = train(&db, gcfg, &split, opts);
     let labels: Vec<usize> = vec![0, 1];
     let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-    // ApproxGVEX through the parallel driver of a fresh session, so every
-    // call pays the full cold work (forward passes, influence analyses)
+    // ApproxGVEX through a fresh session's driver inside a pool of
+    // `threads` workers, so every call pays the full cold work (forward
+    // passes, influence analyses)
     let explain = |db: &GraphDatabase, threads: usize| -> ExplanationViewSet {
-        ExplainSession::new(&model, cfg.clone()).expect("valid configuration").explain_parallel(
-            &GreedyStrategy,
-            db,
-            &labels,
-            threads,
-        )
+        let sess = ExplainSession::new(&model, cfg.clone()).expect("valid configuration");
+        let pool =
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
+        pool.install(|| sess.explain(&GreedyStrategy, db, &labels))
     };
 
     // Interleaved min-of-9 (same estimator as the kernel benches): the
@@ -1350,7 +1349,7 @@ fn main() {
         if vf2.speedup >= 3.0 { "(>= 3x target met)" } else { "(BELOW 3x target)" }
     );
 
-    eprintln!("[hotpaths] explain end-to-end (parallel driver) ...");
+    eprintln!("[hotpaths] explain end-to-end (1- and 4-thread pools) ...");
     let (explain, explain_large) = bench_explain();
     eprintln!(
         "[hotpaths]   {} graphs: {:.2}s @1 thread, {:.2}s @4 threads, {:.2}s @4 threads+obs ({})",

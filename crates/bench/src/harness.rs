@@ -66,7 +66,7 @@ pub fn prepare(kind: DatasetKind, scale: Scale, seed: u64) -> Prepared {
 
 /// Everything a cold start must redo when no `.gvex` database exists:
 /// generate the dataset, train the classifier, and mine the explanation
-/// views for every class (single-threaded, the deterministic reference).
+/// views for every class (in a one-worker pool, the sequential reference).
 pub fn prepare_with_views(
     kind: DatasetKind,
     scale: Scale,
@@ -76,7 +76,8 @@ pub fn prepare_with_views(
     let prep = prepare(kind, scale, seed);
     let labels: Vec<usize> = (0..prep.db.num_classes()).collect();
     let sess = ExplainSession::new(&prep.model, gvex_config(upper)).expect("valid configuration");
-    let views = sess.explain_parallel(&GreedyStrategy, &prep.db, &labels, 1);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool builds");
+    let views = pool.install(|| sess.explain(&GreedyStrategy, &prep.db, &labels));
     (prep, views)
 }
 

@@ -12,7 +12,10 @@
 //! chunks, **always preserving input order**, so results are deterministic
 //! and independent of the worker count. That is a stronger guarantee than
 //! real rayon's `for_each` side-effect ordering, and exactly what the
-//! determinism tests in this workspace rely on.
+//! determinism tests in this workspace rely on. A parallel call made
+//! inside a fan-out runs on the worker that makes it: real rayon shares
+//! one pool between nested calls, and spawning fresh threads for them here
+//! would only oversubscribe the cores the fan-out already occupies.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -150,6 +153,17 @@ where
     }
 }
 
+/// Runs `op` as one worker of a fan-out: parallel calls nested inside it
+/// stay on this thread. Every worker of the fan-out is already busy, and
+/// this stand-in spawns threads per call rather than sharing one pool as
+/// real rayon does, so a nested fan-out would only oversubscribe the cores.
+fn as_worker<R>(op: impl FnOnce() -> R) -> R {
+    let prev = POOL_THREADS.with(|c| c.replace(Some(1)));
+    let result = op();
+    POOL_THREADS.with(|c| c.set(prev));
+    result
+}
+
 /// Applies `f` to every item across the current thread budget, preserving
 /// input order in the output.
 fn run_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
@@ -194,16 +208,20 @@ where
                 gvex_obs::histogram!("rayon.chunk_items", part.len() as u64);
             }
             if worker == 0 {
-                for (slot, item) in out.iter_mut().zip(part) {
-                    *slot = Some(f(item));
-                }
+                as_worker(|| {
+                    for (slot, item) in out.iter_mut().zip(part) {
+                        *slot = Some(f(item));
+                    }
+                });
             } else {
                 s.spawn(move || {
                     let _adopted = gvex_obs::span::adopt(base_path);
                     let _req = gvex_obs::context::adopt(req_tag);
-                    for (slot, item) in out.iter_mut().zip(part) {
-                        *slot = Some(f(item));
-                    }
+                    as_worker(|| {
+                        for (slot, item) in out.iter_mut().zip(part) {
+                            *slot = Some(f(item));
+                        }
+                    });
                 });
             }
         }
@@ -531,6 +549,18 @@ mod tests {
         let v = vec![1usize, 2, 3];
         let out: Vec<usize> = v.into_par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn nested_calls_stay_on_their_worker() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let (inner, after) = pool.install(|| {
+            let inner: Vec<usize> =
+                (0..8usize).into_par_iter().map(|_| current_num_threads()).collect();
+            (inner, current_num_threads())
+        });
+        assert_eq!(inner, vec![1; 8], "a call nested in a fan-out runs on its worker");
+        assert_eq!(after, 4, "the caller's budget returns after the fan-out");
     }
 
     #[test]

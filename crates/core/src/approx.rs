@@ -12,9 +12,10 @@
 //! [`SelectionStrategy`] over a shared [`ExplainSession`]: the forward
 //! trace and influence analysis come from the session's memos, and every
 //! candidate probe runs on a zero-copy [`gvex_graph::GraphRef`] view
-//! instead of an allocated subgraph clone. Run it through the session
-//! drivers ([`ExplainSession::explain`] and its parallel/sharded
-//! siblings), or per graph with [`SelectionStrategy::explain_graph`].
+//! instead of an allocated subgraph clone. Run it through the session's
+//! driver ([`ExplainSession::explain`], which fans each label group's
+//! graphs out across the rayon pool), or per graph with
+//! [`SelectionStrategy::explain_graph`].
 //!
 //! One deliberate refinement over the paper's pseudo-code: Procedure 2
 //! (`VpExtend`) rejects a candidate unless the extended subgraph is already

@@ -25,7 +25,7 @@ use gvex_influence::analysis::InfluenceAnalysis;
 /// The brute-force optimum as a session strategy: selects the exact best
 /// subset within the coverage bound. Exponential in the upper bound —
 /// reserved for tiny graphs (approximation-ratio validation, ablations);
-/// plugs into every session driver like the approximate strategies.
+/// plugs into the session's driver like the approximate strategies.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactStrategy;
 

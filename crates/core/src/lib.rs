@@ -19,10 +19,10 @@
 //! * [`session`] — the shared [`session::ExplainSession`] owning the model
 //!   handle, forward-trace cache, and per-graph influence memo, with every
 //!   generation algorithm reduced to a [`session::SelectionStrategy`]
-//!   plugged into the sequential/parallel/sharded drivers — the one way
+//!   run by one driver, [`session::ExplainSession::explain`] — the one way
 //!   to run an explanation algorithm,
-//! * [`parallel`] — the adaptive fan-out gate and batch prediction behind
-//!   the parallel driver (§A.7),
+//! * [`parallel`] — the adaptive fan-out gate every strategy's label-group
+//!   step explains its graphs through (§A.7), and batch prediction,
 //! * [`explainer`] — the [`explainer::Explainer`] trait shared with the
 //!   baseline explainers so the evaluation harness can treat every method
 //!   uniformly; [`GvexExplainer`] plugs a strategy into it.

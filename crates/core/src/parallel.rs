@@ -1,12 +1,13 @@
 //! Parallel view generation (§A.7).
 //!
 //! Influence and diversity are computed independently per graph, so the
-//! per-graph explain step parallelizes embarrassingly; the driver
-//! ([`crate::ExplainSession::explain_parallel`]) fans the label group's
-//! graphs across a rayon pool and summarizes afterwards (summarization is a
-//! cross-graph step and stays sequential, matching the paper's
-//! decomposition). This module keeps the shared machinery: the adaptive
-//! fan-out gate, the cost estimators, and batch prediction.
+//! per-graph step of every strategy parallelizes embarrassingly: each
+//! [`crate::SelectionStrategy::explain_label_group`] hands its members to
+//! [`explain_members`], and the cross-graph step that follows (`Psum`, or
+//! StreamGVEX's pattern merge) runs on the calling thread in member order,
+//! matching the paper's decomposition. [`crate::ExplainSession::explain`]
+//! is therefore the one driver; a caller that wants a fixed worker count
+//! installs a [`ThreadPoolBuilder`] pool around it.
 //!
 //! Fan-outs are **adaptive**: [`run_adaptive`] estimates the workload in
 //! scalar operations and runs it sequentially when it falls below the
@@ -18,6 +19,11 @@
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase};
 use rayon::prelude::*;
+
+/// The pool a caller installs around [`crate::ExplainSession::explain`]
+/// to fix its worker count, re-exported so crates without their own rayon
+/// dependency can do so.
+pub use rayon::ThreadPoolBuilder;
 
 /// Cost-threshold switch for fan-outs: runs `f` over `items` sequentially
 /// on the calling thread when `estimated_ops` (a rough scalar-operation
@@ -46,9 +52,22 @@ where
 
 /// ~ scalar ops of explaining one graph: the influence matrix dominates
 /// (`O(n³)`-ish whichever route computes it), plus the forward pass.
-pub(crate) fn explain_cost(model: &GcnModel, g: &Graph) -> usize {
+fn explain_cost(model: &GcnModel, g: &Graph) -> usize {
     let n = g.num_nodes();
     n * n * n + model.forward_cost(g)
+}
+
+/// Runs the per-graph step `f` over a label group's members (database
+/// indices) behind the adaptive gate, priced at [`explain_cost`] per
+/// member. Results come back in member order at any worker count.
+pub(crate) fn explain_members<R: Send>(
+    model: &GcnModel,
+    db: &GraphDatabase,
+    group: &[usize],
+    f: impl Fn(usize) -> R + Sync + Send,
+) -> Vec<R> {
+    let est = group.iter().map(|&gi| explain_cost(model, db.graph(gi))).sum();
+    run_adaptive(group.to_vec(), est, f)
 }
 
 /// Classifier-assigned labels for every graph of `db`. Graphs are packed

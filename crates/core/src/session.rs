@@ -12,17 +12,18 @@
 //! read through the session, so N algorithms × M graphs share one set of
 //! caches.
 //!
-//! The two drivers mirror the two deployment shapes:
-//!
-//! * [`ExplainSession::explain`] — sequential, one label group at a time,
-//! * [`ExplainSession::explain_parallel`] — the §A.7 rayon fan-out with the
-//!   adaptive cost gate (order-preserving, bitwise identical across thread
-//!   counts).
+//! [`ExplainSession::explain`] is the one driver: it predicts and groups
+//! the database, then asks the strategy for each label's view. The
+//! strategy's label-group step fans its members out across the rayon pool
+//! (§A.7, through [`crate::parallel::explain_members`]) and assembles the
+//! view on the calling thread in member order, so every strategy yields
+//! bitwise-identical views at any worker count. A caller that wants a
+//! fixed worker count installs a pool around the call.
 //!
 //! Determinism: the per-graph influence memo is keyed by the same content
 //! fingerprint the trace cache uses *plus the graph index*, because the
 //! analysis RNG is seeded `cfg.seed ^ graph_index`. A memo hit therefore
-//! returns exactly the analysis a recomputation would produce, and every
+//! returns exactly the analysis a recomputation would produce, and the
 //! driver yields bitwise-identical views whether caches are cold or warm.
 
 use crate::config::{ConfigError, Configuration};
@@ -119,7 +120,8 @@ pub trait SelectionStrategy: Sync {
     ) -> Option<ExplanationSubgraph>;
 
     /// Builds one explanation view for label `l` over a label group (graph
-    /// indices): explain each graph, then summarize with `Psum`.
+    /// indices): explain each graph (fanned out, in member order), then
+    /// summarize with `Psum`.
     fn explain_label_group(
         &self,
         sess: &ExplainSession<'_>,
@@ -129,7 +131,12 @@ pub trait SelectionStrategy: Sync {
     ) -> ExplanationView {
         let subgraphs: Vec<ExplanationSubgraph> = {
             gvex_obs::span!("explain");
-            group.iter().filter_map(|&gi| self.explain_graph(sess, db.graph(gi), gi)).collect()
+            crate::parallel::explain_members(sess.model(), db, group, |gi| {
+                self.explain_graph(sess, db.graph(gi), gi)
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         };
         sess.summarize(label, subgraphs)
     }
@@ -137,7 +144,7 @@ pub trait SelectionStrategy: Sync {
 
 /// Shared state for one explanation workload: the model handle, a validated
 /// configuration, and the cache set. Construct once, then run any number of
-/// [`SelectionStrategy`] algorithms, graphs, and drivers against it.
+/// [`SelectionStrategy`] algorithms and graphs against it.
 pub struct ExplainSession<'m> {
     model: &'m GcnModel,
     cfg: Configuration,
@@ -300,8 +307,10 @@ impl<'m> ExplainSession<'m> {
         ViewIndex::build(views, self.cfg.matching)
     }
 
-    /// Sequential driver: one view per label of interest (Problem 1).
-    /// Labels are the classifier's *assigned* labels on `db`.
+    /// The explain driver: one view per label of interest (Problem 1).
+    /// Labels are the classifier's *assigned* labels on `db`; each label's
+    /// group goes to the strategy's [`SelectionStrategy::explain_label_group`],
+    /// which fans its members out across the current rayon pool.
     pub fn explain(
         &self,
         strategy: &dyn SelectionStrategy,
@@ -320,63 +329,6 @@ impl<'m> ExplainSession<'m> {
             .map(|&l| strategy.explain_label_group(self, db, l, groups.group(l)))
             .collect();
         ExplanationViewSet { views }
-    }
-
-    /// Parallel driver (§A.7): explains graphs across a rayon pool of
-    /// `threads` workers (0 = rayon's default) behind the adaptive cost
-    /// gate. Output is bitwise identical to [`Self::explain`] for any
-    /// strategy whose label-group step is the default batch summarize.
-    pub fn explain_parallel(
-        &self,
-        strategy: &dyn SelectionStrategy,
-        db: &GraphDatabase,
-        labels_of_interest: &[usize],
-        threads: usize,
-    ) -> ExplanationViewSet {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build rayon pool");
-        pool.install(|| {
-            let _req = gvex_obs::context::ReqScope::begin("session.explain");
-            gvex_obs::span!("explain_db");
-            let assigned = crate::parallel::predict_all(self.model, db);
-            let groups = db.label_groups(&assigned);
-            // One flat (label slot, graph) work list instead of nested
-            // per-label fan-outs: the adaptive gate prices the whole explain
-            // step at once and a single fan-out spreads uneven label groups
-            // evenly across workers. The list is label-major and
-            // `run_adaptive` preserves input order, so regrouping by slot
-            // reproduces the per-label subgraph sequences of the nested
-            // version exactly; summarization is a cross-graph step and stays
-            // sequential per label, matching the paper's decomposition.
-            let prepped: Vec<(usize, Vec<ExplanationSubgraph>)> = {
-                gvex_obs::span!("explain");
-                let work: Vec<(usize, usize)> = labels_of_interest
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(slot, &l)| groups.group(l).iter().map(move |&gi| (slot, gi)))
-                    .collect();
-                let est: usize = work
-                    .iter()
-                    .map(|&(_, gi)| crate::parallel::explain_cost(self.model, db.graph(gi)))
-                    .sum();
-                let explained = crate::parallel::run_adaptive(work, est, |(slot, gi)| {
-                    (slot, strategy.explain_graph(self, db.graph(gi), gi))
-                });
-                let mut by_slot: Vec<(usize, Vec<ExplanationSubgraph>)> =
-                    labels_of_interest.iter().map(|&l| (l, Vec::new())).collect();
-                for (slot, sub) in explained {
-                    if let Some(s) = sub {
-                        by_slot[slot].1.push(s);
-                    }
-                }
-                by_slot
-            };
-            let views: Vec<ExplanationView> =
-                prepped.into_iter().map(|(l, subs)| self.summarize(l, subs)).collect();
-            ExplanationViewSet { views }
-        })
     }
 }
 
@@ -458,7 +410,6 @@ pub(crate) fn assemble_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::GreedyStrategy;
     use gvex_gnn::{trainer, GcnConfig};
 
     fn motif_db() -> GraphDatabase {
@@ -561,21 +512,6 @@ mod tests {
             let _ = sess.influence(db.graph(gi), gi);
         }
         assert_eq!(sess.caches().influence_len(), 2);
-    }
-
-    #[test]
-    fn session_explain_matches_parallel_driver() {
-        let db = motif_db();
-        let model = trained(&db);
-        let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
-        let sess = ExplainSession::new(&model, cfg).expect("valid configuration");
-        let seq = sess.explain(&GreedyStrategy, &db, &[0, 1]);
-        let par = sess.explain_parallel(&GreedyStrategy, &db, &[0, 1], 2);
-        assert_eq!(
-            serde_json::to_string(&seq).unwrap(),
-            serde_json::to_string(&par).unwrap(),
-            "parallel driver must be bitwise identical to sequential"
-        );
     }
 
     #[test]

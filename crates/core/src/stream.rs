@@ -20,7 +20,10 @@
 //! forward pass comes from the session's trace cache, and every `VpExtend`
 //! probe runs on a zero-copy view). [`StreamStrategy::stream_graph`] streams
 //! one graph in a caller-chosen node order; [`GraphStream`] exposes the
-//! per-arrival state for anytime inspection.
+//! per-arrival state for anytime inspection. Through the session's driver
+//! the graphs of a label group stream in parallel (§A.7), and their
+//! pattern sets merge in member order, so the view is the same at any
+//! worker count.
 
 use crate::config::Configuration;
 use crate::session::{ExplainSession, SelectionStrategy};
@@ -427,12 +430,12 @@ impl SelectionStrategy for StreamStrategy {
         self.stream_graph(sess, g, graph_index, None).map(|(s, _)| s)
     }
 
-    /// Streaming overrides the default batch assembly: each member graph's
-    /// locally maintained patterns are merged (deduplicated up to
-    /// isomorphism) instead of re-mined, then the session's shared
-    /// completion covers any cross-graph gaps with singleton patterns
-    /// (streamed pattern maintenance is local to each graph, so gaps are
-    /// possible).
+    /// Streaming overrides the default batch assembly: the member graphs
+    /// stream in parallel, then their locally maintained patterns are
+    /// merged in member order (deduplicated up to isomorphism) instead of
+    /// re-mined, and the session's shared completion covers any
+    /// cross-graph gaps with singleton patterns (streamed pattern
+    /// maintenance is local to each graph, so gaps are possible).
     fn explain_label_group(
         &self,
         sess: &ExplainSession<'_>,
@@ -440,13 +443,14 @@ impl SelectionStrategy for StreamStrategy {
         label: usize,
         group: &[usize],
     ) -> ExplanationView {
+        let streamed = crate::parallel::explain_members(sess.model(), db, group, |gi| {
+            self.stream_graph(sess, db.graph(gi), gi, None)
+        });
         let mut subgraphs = Vec::new();
         let mut patterns: Vec<Graph> = Vec::new();
-        for &gi in group {
-            if let Some((sub, local)) = self.stream_graph(sess, db.graph(gi), gi, None) {
-                subgraphs.push(sub);
-                crate::session::merge_patterns(&mut patterns, local);
-            }
+        for (sub, local) in streamed.into_iter().flatten() {
+            subgraphs.push(sub);
+            crate::session::merge_patterns(&mut patterns, local);
         }
         sess.assemble_view(label, subgraphs, patterns)
     }

@@ -23,6 +23,7 @@
 //! differential suite and the `ingest` bench gate in ci.sh.
 
 use crate::log::Op;
+use gvex_core::parallel::ThreadPoolBuilder;
 use gvex_core::{
     pmatch, Configuration, ExplainSession, ExplanationView, ExplanationViewSet, GreedyStrategy,
     MaintainError, ViewMaintainer,
@@ -538,7 +539,8 @@ impl IngestEngine {
 
 /// From-scratch view generation over `db` — the reference the incremental
 /// engine is differentially pinned against, and the slow arm of the
-/// `ingest` bench.
+/// `ingest` bench. Runs the session's driver inside a pool of `threads`
+/// workers (0 = the default count); the views are the same at any count.
 pub fn rebuild_views(
     model: &GcnModel,
     db: &GraphDatabase,
@@ -548,7 +550,8 @@ pub fn rebuild_views(
     gvex_obs::counter!("ingest.views_recomputed", db.num_classes() as u64);
     let labels: Vec<usize> = (0..db.num_classes()).collect();
     let sess = ExplainSession::new(model, cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
-    sess.explain_parallel(&GreedyStrategy, db, &labels, threads)
+    let pool = ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
+    pool.install(|| sess.explain(&GreedyStrategy, db, &labels))
 }
 
 /// Outcome of [`check_equivalent`].

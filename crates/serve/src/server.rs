@@ -11,7 +11,9 @@
 //! * `workers` **worker threads** share the queue's receiver behind a
 //!   mutex. A worker serves one connection at a time, frame by frame,
 //!   until the peer hangs up — so a connection's requests are answered in
-//!   order, while distinct connections proceed in parallel.
+//!   order, while distinct connections proceed in parallel. Each worker
+//!   answers inside a one-worker rayon pool: parallelism is across
+//!   requests, and a request's own fan-outs stay on its worker.
 //! * The current state is an `Arc<ServeState>` behind an `RwLock`.
 //!   **Reload** builds the next state off to the side (on the worker
 //!   serving the reload request), then swaps the `Arc` — in-flight
@@ -35,6 +37,7 @@
 use crate::cache::{AnswerCache, CacheStats};
 use crate::protocol::{read_frame, write_frame, Request, Response};
 use crate::state::{answer, cache_key, config_for, ServeState};
+use gvex_core::parallel::ThreadPoolBuilder;
 use gvex_ingest::IngestEngine;
 use std::collections::HashMap;
 use std::io;
@@ -260,12 +263,17 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStrea
 }
 
 fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
+    // Requests run in parallel across the workers; each request's own
+    // fan-outs stay on its worker. A miss that fanned out spawned a thread
+    // whose malloc arena kept session-cache entries, which raised peak RSS
+    // and hit latency on the serving benchmark (DESIGN §15).
+    let own_thread = ThreadPoolBuilder::new().num_threads(1).build().expect("pool builds");
     loop {
         // Hold the receiver lock only while waiting; handling runs
         // unlocked so workers serve distinct connections concurrently.
         let conn = { rx.lock().expect("accept queue poisoned").recv() };
         match conn {
-            Ok(stream) => handle_conn(shared, stream),
+            Ok(stream) => own_thread.install(|| handle_conn(shared, stream)),
             Err(_) => return, // sender gone: shutdown
         }
     }
@@ -388,12 +396,12 @@ fn do_mutate(shared: &Shared, req: &Request) -> Response {
         let state = Arc::clone(&shared.state.read().expect("state lock poisoned"));
         let engine = IngestEngine::new(
             state.dataset(),
-            0,
+            state.seed(),
             state.db().clone(),
             state.model().clone(),
             config_for(req),
             state.views().clone(),
-            0,
+            state.epoch(),
         );
         match engine {
             Ok(engine) => *guard = Some(engine),

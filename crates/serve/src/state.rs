@@ -61,6 +61,8 @@ impl std::error::Error for ServeError {}
 pub struct ServeState {
     source: Option<PathBuf>,
     dataset: String,
+    seed: u64,
+    epoch: u64,
     db: GraphDatabase,
     model: GcnModel,
     views: ExplanationViewSet,
@@ -72,7 +74,7 @@ pub struct ServeState {
 impl ServeState {
     /// Opens a `.gvex` store and materializes a serving state from it:
     /// owned database, owned model, deserialized views, query index, fresh
-    /// session pool.
+    /// session pool, and the store's generation seed and epoch.
     pub fn open(path: &Path) -> Result<Self, ServeError> {
         gvex_obs::span!("serve.state_open");
         let store = Store::open(path).map_err(|e| ServeError::Store(e.to_string()))?;
@@ -82,12 +84,14 @@ impl ServeState {
             Some(json) => ExplanationViewSet::from_json(json).map_err(ServeError::Views)?,
             None => ExplanationViewSet::default(),
         };
-        let dataset = store.meta().dataset.clone();
-        Ok(Self::assemble(Some(path.to_path_buf()), dataset, db, model, views))
+        let meta = store.meta();
+        let state =
+            Self::assemble(Some(path.to_path_buf()), meta.dataset.clone(), db, model, views);
+        Ok(Self { seed: meta.seed, epoch: meta.epoch, ..state })
     }
 
     /// Builds a serving state from already-materialized parts (generated
-    /// datasets, tests, the non-`--db` CLI paths).
+    /// datasets, tests, the non-`--db` CLI paths); its seed and epoch are 0.
     pub fn from_parts(
         dataset: &str,
         db: GraphDatabase,
@@ -110,7 +114,18 @@ impl ServeState {
         let index = index_views(&views);
         let fingerprint = content_fingerprint(&db, &model, &views);
         gvex_obs::counter!("serve.state_builds");
-        Self { source, dataset, db, model, views, index, pool: SessionPool::new(), fingerprint }
+        Self {
+            source,
+            dataset,
+            seed: 0,
+            epoch: 0,
+            db,
+            model,
+            views,
+            index,
+            pool: SessionPool::new(),
+            fingerprint,
+        }
     }
 
     /// Attaches a reload source to a state built from parts — the epoch
@@ -140,6 +155,19 @@ impl ServeState {
     /// Dataset label recorded in the store metadata.
     pub fn dataset(&self) -> &str {
         &self.dataset
+    }
+
+    /// Generation seed recorded in the store metadata (0 for states built
+    /// from parts).
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Ingest epoch recorded in the store metadata (0 for states built
+    /// from parts): a live ingest engine started on this state continues
+    /// from it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The materialized graph database.

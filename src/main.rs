@@ -45,6 +45,7 @@ fn usage() -> ! {
          stats    print the Table-3 row for the dataset\n\
          export   --out <dir>: write the dataset in TU format\n\
          train    --model-out <file>: train the GCN and save it as JSON\n\
+                  [--epochs <n>] [--lr <x>] [--hidden <n>]\n\
                   [--batch-size <n>]: graphs per optimizer step; n > 1 packs\n\
                   each step into one block-diagonal batched forward/backward\n\
          explain  --model <file> --labels <l0,l1,..> --upper <n>\n\
@@ -91,12 +92,61 @@ fn open_store(path: &str) -> Store {
     })
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags that pick the dataset ([`load_db`]).
+const DATASET_FLAGS: &[&str] = &["dataset", "scale", "seed", "tu-dir", "tu-name", "db"];
+/// Flags that load or train the classifier ([`trained_model`]).
+const TRAIN_FLAGS: &[&str] = &["model", "epochs", "lr", "batch-size", "hidden"];
+
+/// The flags `command` accepts; any other `--name` is a usage error.
+fn accepted_flags(command: &str) -> Vec<&'static str> {
+    let (own, shared): (&[&str], &[&[&str]]) = match command {
+        "stats" => (&[], &[DATASET_FLAGS]),
+        "export" => (&["out"], &[DATASET_FLAGS]),
+        "train" => (&["model-out"], &[DATASET_FLAGS, TRAIN_FLAGS]),
+        "explain" => (&["labels", "upper", "stream", "views-out"], &[DATASET_FLAGS, TRAIN_FLAGS]),
+        "query" => (&["db", "views", "label", "discriminative"], &[]),
+        "serve" => (&["db", "addr", "workers", "queue", "cache-capacity", "epoch-interval"], &[]),
+        "request" => (
+            &[
+                "addr",
+                "kind",
+                "label",
+                "graph",
+                "target",
+                "upper",
+                "stream",
+                "discriminative",
+                "path",
+                "mutations",
+                "commit",
+            ],
+            &[],
+        ),
+        "ingest gen" => (&["db", "out", "count", "seed", "profile"], &[]),
+        "ingest replay" => (
+            &["db", "mutations", "upper", "epoch-interval", "threads", "snapshot-out", "verify"],
+            &[],
+        ),
+        "ingest send" => (&["addr", "mutations", "batch", "upper", "commit"], &[]),
+        "db build" => (&["out", "upper", "stream", "no-views"], &[DATASET_FLAGS, TRAIN_FLAGS]),
+        _ => usage(),
+    };
+    own.iter().chain(shared.iter().copied().flatten()).copied().collect()
+}
+
+/// Parses `--name value` pairs and bare `--switch`es, rejecting any flag
+/// `command` does not accept with a usage error (exit 2) that names it.
+fn parse_flags(command: &str, args: &[String]) -> HashMap<String, String> {
+    let accepted = accepted_flags(command);
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            if !accepted.contains(&key) {
+                eprintln!("unknown flag --{key} for `gvex {command}`");
+                std::process::exit(2);
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 flags.insert(key.to_string(), args[i + 1].clone());
                 i += 2;
@@ -416,9 +466,9 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     let cfg = ServerConfig {
         workers: flag(flags, "workers", defaults.workers),
         queue_depth: flag(flags, "queue", defaults.queue_depth),
-        cache_shards: flag(flags, "cache-shards", defaults.cache_shards),
         cache_capacity: flag(flags, "cache-capacity", defaults.cache_capacity),
         epoch_interval: flag(flags, "epoch-interval", defaults.epoch_interval),
+        ..defaults
     };
     let addr = flags.get("addr").map_or("127.0.0.1:0", String::as_str);
     let server = Server::bind(state, addr, cfg).unwrap_or_else(|e| {
@@ -625,9 +675,9 @@ fn cmd_ingest(rest: &[String]) -> ExitCode {
         usage();
     };
     match sub.as_str() {
-        "gen" => cmd_ingest_gen(&parse_flags(rest)),
-        "replay" => cmd_ingest_replay(&parse_flags(rest)),
-        "send" => cmd_ingest_send(&parse_flags(rest)),
+        "gen" => cmd_ingest_gen(&parse_flags("ingest gen", rest)),
+        "replay" => cmd_ingest_replay(&parse_flags("ingest replay", rest)),
+        "send" => cmd_ingest_send(&parse_flags("ingest send", rest)),
         other => {
             eprintln!("unknown ingest subcommand: {other}");
             usage();
@@ -748,7 +798,7 @@ fn cmd_db(rest: &[String]) -> ExitCode {
         usage();
     };
     match sub.as_str() {
-        "build" => cmd_db_build(&parse_flags(rest)),
+        "build" => cmd_db_build(&parse_flags("db build", rest)),
         "inspect" => {
             let path = rest.first().unwrap_or_else(|| usage());
             cmd_db_inspect(path);
@@ -868,7 +918,7 @@ fn main() -> ExitCode {
     if cmd == "ingest" {
         return cmd_ingest(rest);
     }
-    let flags = parse_flags(rest);
+    let flags = parse_flags(cmd, rest);
     match cmd.as_str() {
         "stats" => cmd_stats(&flags),
         "export" => cmd_export(&flags),

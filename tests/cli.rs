@@ -1,7 +1,7 @@
-//! The `gvex` binary rejects malformed numeric flags with a usage error —
-//! exit code 2, the flag and its value named on stderr — before it builds
-//! a configuration or does any other work, instead of panicking or running
-//! silently with a default.
+//! The `gvex` binary rejects malformed numeric flags and flags its command
+//! does not accept with a usage error — exit code 2, the flag (and its
+//! value) named on stderr — before it builds a configuration or does any
+//! other work, instead of panicking or running silently with a default.
 
 use std::process::Command;
 
@@ -26,6 +26,20 @@ fn malformed_numeric_flags_exit_2_naming_the_flag() {
             "--upper \"0\"",
         ),
         (vec!["stats", "--dataset", "MUT", "--seed", "-1"], "--seed \"-1\""),
+        // misspelled or foreign flags
+        ([&explain[..], &["--uper", "4"]].concat(), "--uper"),
+        (vec!["stats", "--dataset", "MUT", "--upper", "4"], "--upper"),
+        (
+            vec!["db", "build", "--dataset", "MUT", "--scale", "small", "--no-view", "--out"]
+                .into_iter()
+                .chain([scratch])
+                .collect(),
+            "--no-view",
+        ),
+        (vec!["ingest", "replay", "--db", scratch, "--mutations", scratch, "--verfy"], "--verfy"),
+        (vec!["ingest", "gen", "--db", scratch, "--out", scratch, "--threads", "2"], "--threads"),
+        (vec!["serve", "--db", scratch, "--cache-shards", "2"], "--cache-shards"),
+        (vec!["request", "--addr", "127.0.0.1:9", "--kind", "ping", "--comit"], "--comit"),
     ];
     for (args, named) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_gvex")).args(&args).output().expect("gvex runs");

@@ -1,12 +1,18 @@
 //! Thread-count determinism of the parallel explain pipeline.
 //!
-//! The rayon fan-out across graphs, labels, and Jacobian seed blocks is
-//! structured so every output has exactly one writer with a fixed
-//! accumulation order. These tests pin the consequence: the explanation
-//! views (and the realized influence matrix underneath them) are **bitwise
-//! identical** whether the pipeline runs on 1 thread or 4.
+//! The rayon fan-out across a label group's graphs and across Jacobian
+//! seed blocks is structured so every output has exactly one writer with a
+//! fixed accumulation order. These tests pin the consequence: the
+//! explanation views (and the realized influence matrix underneath them)
+//! are **bitwise identical** whether the pipeline runs in a 1-thread or a
+//! 4-thread pool. The explain checks run on a database whose label groups
+//! clear the fan-out threshold, so the 4-thread runs do fan out on
+//! multi-core hardware (`tests/explain_fanout.rs` counts it).
 
-use gvex::core::{Configuration, ExplainSession, ExplanationViewSet, GreedyStrategy};
+use gvex::core::{
+    Configuration, ExplainSession, ExplanationViewSet, GreedyStrategy, SelectionStrategy,
+    StreamStrategy,
+};
 use gvex::datasets::{DatasetKind, Scale};
 use gvex::gnn::{train, trainer::TrainOptions, GcnConfig, GcnModel, Split};
 use gvex::graph::{Graph, GraphDatabase};
@@ -49,39 +55,54 @@ fn toy_database() -> GraphDatabase {
     db
 }
 
-/// ApproxGVEX views through the parallel driver of a fresh session, so
-/// every call recomputes from cold caches.
+/// 4 + 4 graphs of 42 nodes: every split into assigned-label groups leaves
+/// a group whose explain estimate clears `rayon::PAR_THRESHOLD`.
+fn fanout_database() -> GraphDatabase {
+    let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
+    for _ in 0..4 {
+        db.push(plain_graph(42), 0);
+        db.push(motif_graph(40), 1);
+    }
+    db
+}
+
+fn trained(db: &GraphDatabase) -> GcnModel {
+    let split =
+        Split { train: (0..db.len()).collect(), val: (0..db.len()).collect(), test: vec![] };
+    let gcfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
+    let opts = TrainOptions { epochs: 40, lr: 0.01, seed: 1, patience: 0, ..Default::default() };
+    train(db, gcfg, &split, opts).0
+}
+
+const STRATEGIES: [&dyn SelectionStrategy; 2] = [&GreedyStrategy, &StreamStrategy];
+
+/// Views through the driver of a fresh session inside a pool of `threads`
+/// workers, so every call recomputes from cold caches.
 fn explain_cold(
+    strategy: &dyn SelectionStrategy,
     model: &GcnModel,
     db: &GraphDatabase,
     labels: &[usize],
     cfg: &Configuration,
     threads: usize,
-) -> ExplanationViewSet {
-    ExplainSession::new(model, cfg.clone()).expect("valid configuration").explain_parallel(
-        &GreedyStrategy,
-        db,
-        labels,
-        threads,
-    )
+) -> String {
+    let sess = ExplainSession::new(model, cfg.clone()).expect("valid configuration");
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
+    let views: ExplanationViewSet = pool.install(|| sess.explain(strategy, db, labels));
+    serde_json::to_string(&views).expect("serializable views")
 }
 
 #[test]
 fn explain_database_identical_across_thread_counts() {
-    let db = toy_database();
-    let split =
-        Split { train: (0..db.len()).collect(), val: (0..db.len()).collect(), test: vec![] };
-    let gcfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
-    let opts = TrainOptions { epochs: 40, lr: 0.01, seed: 1, patience: 0, ..Default::default() };
-    let (model, _) = train(&db, gcfg, &split, opts);
+    let db = fanout_database();
+    let model = trained(&db);
     let labels = vec![0usize, 1];
     let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
-
-    let serial = explain_cold(&model, &db, &labels, &cfg, 1);
-    let parallel = explain_cold(&model, &db, &labels, &cfg, 4);
-    let serial_json = serde_json::to_string(&serial).expect("serializable views");
-    let parallel_json = serde_json::to_string(&parallel).expect("serializable views");
-    assert_eq!(serial_json, parallel_json, "explanation views depend on thread count");
+    for strategy in STRATEGIES {
+        let serial = explain_cold(strategy, &model, &db, &labels, &cfg, 1);
+        let parallel = explain_cold(strategy, &model, &db, &labels, &cfg, 4);
+        assert_eq!(serial, parallel, "{}: views depend on thread count", strategy.name());
+    }
 }
 
 /// Observation must never perturb the computation it measures: with spans,
@@ -89,17 +110,13 @@ fn explain_database_identical_across_thread_counts() {
 /// identical to the unobserved baseline at both thread counts.
 #[test]
 fn explain_database_identical_with_observation_enabled() {
-    let db = toy_database();
-    let split =
-        Split { train: (0..db.len()).collect(), val: (0..db.len()).collect(), test: vec![] };
-    let gcfg = GcnConfig { input_dim: 3, hidden: 8, layers: 2, num_classes: 2 };
-    let opts = TrainOptions { epochs: 40, lr: 0.01, seed: 1, patience: 0, ..Default::default() };
-    let (model, _) = train(&db, gcfg, &split, opts);
+    let db = fanout_database();
+    let model = trained(&db);
     let labels = vec![0usize, 1];
     let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 4);
 
-    let baseline = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
-        .expect("serializable views");
+    let baselines: Vec<String> =
+        STRATEGIES.iter().map(|&s| explain_cold(s, &model, &db, &labels, &cfg, 1)).collect();
 
     // Only ever *enable* — the toggle is process-global and other tests in
     // this binary run concurrently with observation assumed off-or-on. The
@@ -107,13 +124,13 @@ fn explain_database_identical_with_observation_enabled() {
     // pair, and that too must leave the views untouched.
     gvex::obs::set_enabled(true);
     gvex::obs::trace::force_active(true);
-    let observed_1 = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
-        .expect("serializable views");
-    let observed_4 = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 4))
-        .expect("serializable views");
-
-    assert_eq!(baseline, observed_1, "observation perturbed the serial pipeline");
-    assert_eq!(baseline, observed_4, "observation perturbed the parallel pipeline");
+    for (strategy, baseline) in STRATEGIES.into_iter().zip(&baselines) {
+        let name = strategy.name();
+        let observed_1 = explain_cold(strategy, &model, &db, &labels, &cfg, 1);
+        let observed_4 = explain_cold(strategy, &model, &db, &labels, &cfg, 4);
+        assert_eq!(baseline, &observed_1, "{name}: observation perturbed the serial pipeline");
+        assert_eq!(baseline, &observed_4, "{name}: observation perturbed the parallel pipeline");
+    }
     if gvex::obs::enabled() {
         // With the `obs` feature compiled in, the run must also have
         // recorded the pipeline. (No open-span assertion here: sibling
@@ -123,14 +140,15 @@ fn explain_database_identical_with_observation_enabled() {
             spans.iter().any(|s| s.path.starts_with("explain_db")),
             "no explain_db span recorded: {spans:?}"
         );
-        // Both drivers ran inside a `session.explain` request scope, so the
-        // request registry attributes the work (counts, spans, counters).
+        // Every observed run was inside a `session.explain` request scope,
+        // so the request registry attributes the work (counts, spans,
+        // counters).
         let requests = gvex::obs::context::snapshot();
         let explain = requests
             .iter()
             .find(|r| r.name == "session.explain")
             .expect("session.explain request recorded");
-        assert!(explain.count >= 2, "both observed runs counted: {}", explain.count);
+        assert!(explain.count >= 4, "all four observed runs counted: {}", explain.count);
         assert!(explain.total_ns > 0);
         assert!(
             explain.spans.iter().any(|(path, _, _)| path.starts_with("explain_db")),
@@ -213,8 +231,7 @@ fn store_served_explanations_identical_to_in_memory() {
         let labels: Vec<usize> = (0..db.num_classes()).collect();
         let cfg = Configuration::uniform(0.05, 0.3, 0.5, 0, 3);
 
-        let mem_json = serde_json::to_string(&explain_cold(&model, &db, &labels, &cfg, 1))
-            .expect("serializable views");
+        let mem_json = explain_cold(&GreedyStrategy, &model, &db, &labels, &cfg, 1);
 
         let path = std::env::temp_dir().join(format!(
             "gvex-det-{}-{}.gvex",
@@ -242,9 +259,7 @@ fn store_served_explanations_identical_to_in_memory() {
             kind.short_name()
         );
         for threads in [1usize, 4] {
-            let served =
-                serde_json::to_string(&explain_cold(&smodel, &sdb, &labels, &cfg, threads))
-                    .expect("serializable views");
+            let served = explain_cold(&GreedyStrategy, &smodel, &sdb, &labels, &cfg, threads);
             assert_eq!(
                 mem_json,
                 served,

@@ -79,6 +79,8 @@ fn ingest_snapshot_and_daemon_round_trip() {
     let resp = client.call(&commit).expect("mutate call");
     assert!(resp.ok, "mutate failed: {}", resp.error);
     assert!(resp.body.contains("\"published\":true"), "{}", resp.body);
+    // the daemon's engine continues the snapshot's epoch 4
+    assert!(resp.body.contains("\"epoch\":5"), "{}", resp.body);
     assert_eq!(server.generation(), 1);
 
     // shutdown returns while the client still holds its idle connection;

@@ -1,6 +1,8 @@
-//! Driver pins for [`ExplainSession`]: the sequential and parallel drivers
-//! must agree on what every strategy selects, and the session-level
-//! verify/index entry points must match the free functions.
+//! Session pins: `ExactStrategy` runs through the one explain driver and
+//! yields the same views in a 1-thread and a 4-thread pool, and the
+//! session-level verify/index entry points match the free functions.
+//! (The fan-out pin for the approximate strategies, on a database that
+//! clears the fan-out threshold, is `tests/explain_fanout.rs`.)
 //! Outputs are compared through serialized JSON, which preserves every
 //! `f64` bit.
 
@@ -63,32 +65,19 @@ fn json(set: &ExplanationViewSet) -> String {
 }
 
 #[test]
-fn parallel_driver_matches_sequential_at_one_and_four_threads() {
-    let db = motif_db();
-    let model = trained(&db);
-    let sess = ExplainSession::new(&model, config()).unwrap();
-    let sequential = json(&sess.explain(&GreedyStrategy, &db, &[0, 1]));
-    for threads in [1usize, 4] {
-        // a fresh session per run, so the parallel driver computes from
-        // cold caches rather than replaying the sequential run's memos
-        let fresh = ExplainSession::new(&model, config()).unwrap();
-        let parallel = fresh.explain_parallel(&GreedyStrategy, &db, &[0, 1], threads);
-        assert_eq!(json(&parallel), sequential, "{threads}-thread run vs sequential driver");
-    }
-}
-
-#[test]
 fn exact_strategy_is_driver_invariant() {
     let db = motif_db();
     let model = trained(&db);
-    // tiny upper bound: ExactStrategy enumerates all subsets up to size 3
-    let sess = ExplainSession::new(&model, config()).unwrap();
-    let sequential = sess.explain(&ExactStrategy, &db, &[1]);
-    assert!(!sequential.views[0].subgraphs.is_empty(), "exact strategy found no explanations");
-    for threads in [1usize, 4] {
-        let parallel = sess.explain_parallel(&ExactStrategy, &db, &[1], threads);
-        assert_eq!(json(&parallel), json(&sequential), "exact strategy at {threads} threads");
-    }
+    // tiny upper bound: ExactStrategy enumerates all subsets up to size 3;
+    // a fresh session per run, so each computes from cold caches
+    let explain = |threads: usize| {
+        let sess = ExplainSession::new(&model, config()).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| sess.explain(&ExactStrategy, &db, &[1]))
+    };
+    let one = explain(1);
+    assert!(!one.views[0].subgraphs.is_empty(), "exact strategy found no explanations");
+    assert_eq!(json(&explain(4)), json(&one), "exact strategy at 4 threads vs 1");
 }
 
 #[test]
