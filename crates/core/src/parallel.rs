@@ -28,10 +28,11 @@ pub use rayon::ThreadPoolBuilder;
 /// Cost-threshold switch for fan-outs: runs `f` over `items` sequentially
 /// on the calling thread when `estimated_ops` (a rough scalar-operation
 /// count for the whole workload) falls below the fan-out threshold or only
-/// one worker is available, and across the rayon pool otherwise. Output
-/// order equals input order in both branches, so the dispatch is invisible
-/// to callers; the `core.parallel.{sequential,parallel}` counters record
-/// which way it went.
+/// one worker is available, and across the rayon pool otherwise, with at
+/// most as many workers as the hardware has threads. Output order equals
+/// input order in both branches, so the dispatch is invisible to callers;
+/// the `core.parallel.{sequential,parallel}` counters record which way it
+/// went.
 pub fn run_adaptive<T, R>(
     items: Vec<T>,
     estimated_ops: usize,
@@ -43,7 +44,11 @@ where
 {
     if rayon::should_fan_out(estimated_ops) {
         gvex_obs::counter!("core.parallel.parallel");
-        items.into_par_iter().map(f).collect()
+        // workers beyond the hardware threads only add spawns and
+        // time-slicing to CPU-bound work
+        let workers = rayon::current_num_threads().min(gvex_obs::env::default_parallelism());
+        let pool = ThreadPoolBuilder::new().num_threads(workers).build().expect("pool builds");
+        pool.install(|| items.into_par_iter().map(f).collect())
     } else {
         gvex_obs::counter!("core.parallel.sequential");
         items.into_iter().map(f).collect()
