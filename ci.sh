@@ -191,6 +191,11 @@ if not any(name.startswith("linalg.matmul.dispatch.") for name in counters):
 for required in ("gnn.trace_cache.evictions", "core.session.influence_misses"):
     if required not in counters:
         sys.exit(f"obs smoke: counter {required!r} missing (registered-at-zero expected)")
+# gvex_core::parallel is the one module that fans out: every rayon fan-out
+# must have passed its gate.
+spawns, gated = counters.get("rayon.parallel_calls", 0), counters.get("core.parallel.parallel", 0)
+if spawns > gated:
+    sys.exit(f"obs smoke: {spawns} rayon fan-outs, only {gated} through gvex_core::parallel")
 
 if not report["trace"]["active"]:
     sys.exit("obs smoke: trace section says the ring was inactive")
@@ -378,6 +383,11 @@ if "ingest.views_recomputed" not in counters:
 hist = report["histograms"].get("ingest.staleness_ms")
 if hist is None or hist["count"] < 4:
     sys.exit(f"ingest smoke: ingest.staleness_ms histogram missing or short: {hist}")
+# every rayon fan-out of the replay (and its --verify recompute) passed
+# the gvex_core::parallel gate
+spawns, gated = counters.get("rayon.parallel_calls", 0), counters.get("core.parallel.parallel", 0)
+if spawns > gated:
+    sys.exit(f"ingest smoke: {spawns} rayon fan-outs, only {gated} through gvex_core::parallel")
 
 print(f"ingest smoke (offline): {counters['ingest.mutations_applied']} mutations, "
       f"{counters['ingest.epochs_published']} epochs, "

@@ -1,11 +1,13 @@
 //! Offline stand-in for the parts of `rayon` GVEX uses.
 //!
 //! The build environment has no crates.io access, so this crate provides a
-//! source-compatible subset: `prelude::*` parallel iterators
-//! (`par_iter`/`into_par_iter`/`par_chunks_mut` with `map`, `filter`,
-//! `filter_map`, `enumerate`, `for_each`, `sum`, `collect`),
-//! [`ThreadPoolBuilder`]/[`ThreadPool::install`], [`join`], and
-//! [`current_num_threads`].
+//! source-compatible subset, exactly what the workspace calls:
+//! `prelude::*` parallel iterators (`par_iter` on slices and `Vec`,
+//! `into_par_iter` on `Vec`, with `map`, `for_each` and `collect`),
+//! [`ThreadPoolBuilder`]/[`ThreadPool::install`], and
+//! [`current_num_threads`]. Deciding *whether* to fan out is not this
+//! crate's job: `gvex_core::parallel` is the one module that fans out, and
+//! it calls into this crate only once it has decided to.
 //!
 //! Execution model: adapters are lazy; terminal operations materialize the
 //! items and fan each stage out over `std::thread::scope` in contiguous
@@ -18,7 +20,6 @@
 //! would only oversubscribe the cores the fan-out already occupies.
 
 use std::cell::Cell;
-use std::ops::Range;
 
 thread_local! {
     /// Thread count forced by an enclosing [`ThreadPool::install`]; `None`
@@ -34,31 +35,6 @@ pub fn current_num_threads() -> usize {
         return n.max(1);
     }
     gvex_obs::env::threads()
-}
-
-/// Estimated scalar operations below which [`should_fan_out`] keeps a
-/// region on the calling thread: roughly where spawning scoped worker
-/// threads starts to cost more than it saves, measured on the explain
-/// pipeline's fan-outs (the `explain_database` sections of
-/// `BENCH_hotpaths.json`).
-pub const PAR_THRESHOLD: usize = 1 << 18;
-
-/// True when a fan-out estimated at `estimated_ops` scalar operations
-/// should actually go parallel: more than one worker is requested, the
-/// machine has more than one hardware thread to run them on (a pool count
-/// forced above the available parallelism only adds spawn and timeslicing
-/// overhead — CPU-bound workers cannot beat sequential on one core), and
-/// the workload clears [`PAR_THRESHOLD`]. Gated call sites keep a
-/// sequential twin of their parallel loop and dispatch on this; both twins
-/// preserve input order, so the choice never changes results — only
-/// whether spawn/join overhead is paid.
-///
-/// Not part of real rayon's API; it lives here because the effective worker
-/// count (including [`ThreadPool::install`] overrides) does too.
-pub fn should_fan_out(estimated_ops: usize) -> bool {
-    current_num_threads() > 1
-        && gvex_obs::env::default_parallelism() > 1
-        && estimated_ops >= PAR_THRESHOLD
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder` (only `num_threads`).
@@ -114,42 +90,6 @@ impl ThreadPool {
         let result = op();
         POOL_THREADS.with(|c| c.set(prev));
         result
-    }
-
-    /// This pool's effective worker count.
-    pub fn current_num_threads(&self) -> usize {
-        if self.num_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.num_threads
-        }
-    }
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        (ra, rb)
-    } else {
-        let base_path = gvex_obs::span::current_path();
-        let req_tag = gvex_obs::context::current();
-        std::thread::scope(|s| {
-            let hb = s.spawn(move || {
-                let _adopted = gvex_obs::span::adopt(&base_path);
-                let _req = gvex_obs::context::adopt(req_tag);
-                b()
-            });
-            let ra = a();
-            (ra, hb.join().expect("rayon stand-in: joined task panicked"))
-        })
     }
 }
 
@@ -250,47 +190,12 @@ pub trait ParallelIterator: Sized + Send {
         Map { base: self, f }
     }
 
-    /// Parallel filter-map.
-    fn filter_map<R, F>(self, f: F) -> FilterMap<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> Option<R> + Sync + Send,
-    {
-        FilterMap { base: self, f }
-    }
-
-    /// Parallel filter.
-    fn filter<F>(self, f: F) -> Filter<Self, F>
-    where
-        F: Fn(&Self::Item) -> bool + Sync + Send,
-    {
-        Filter { base: self, f }
-    }
-
-    /// Pairs each item with its input-order index.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { base: self }
-    }
-
     /// Runs `f` on every item.
     fn for_each<F>(self, f: F)
     where
         F: Fn(Self::Item) + Sync + Send,
     {
         let _ = self.map(f).run();
-    }
-
-    /// Sums all items (deterministically, in input order).
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.run().into_iter().sum()
-    }
-
-    /// Number of items produced.
-    fn count(self) -> usize {
-        self.run().len()
     }
 
     /// Collects into any `FromIterator` container, in input order.
@@ -321,63 +226,6 @@ where
     }
 }
 
-/// Filter-map adapter.
-pub struct FilterMap<B, F> {
-    base: B,
-    f: F,
-}
-
-impl<B, R, F> ParallelIterator for FilterMap<B, F>
-where
-    B: ParallelIterator,
-    R: Send,
-    F: Fn(B::Item) -> Option<R> + Sync + Send,
-{
-    type Item = R;
-
-    fn run(self) -> Vec<R> {
-        run_parallel(self.base.run(), self.f).into_iter().flatten().collect()
-    }
-}
-
-/// Filter adapter.
-pub struct Filter<B, F> {
-    base: B,
-    f: F,
-}
-
-impl<B, F> ParallelIterator for Filter<B, F>
-where
-    B: ParallelIterator,
-    F: Fn(&B::Item) -> bool + Sync + Send,
-{
-    type Item = B::Item;
-
-    fn run(self) -> Vec<B::Item> {
-        let f = self.f;
-        run_parallel(self.base.run(), |item| if f(&item) { Some(item) } else { None })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// Enumerate adapter.
-pub struct Enumerate<B> {
-    base: B,
-}
-
-impl<B> ParallelIterator for Enumerate<B>
-where
-    B: ParallelIterator,
-{
-    type Item = (usize, B::Item);
-
-    fn run(self) -> Vec<(usize, B::Item)> {
-        self.base.run().into_iter().enumerate().collect()
-    }
-}
-
 /// Borrowed-slice source (`.par_iter()`).
 pub struct ParSlice<'data, T: Sync> {
     slice: &'data [T],
@@ -391,7 +239,7 @@ impl<'data, T: Sync> ParallelIterator for ParSlice<'data, T> {
     }
 }
 
-/// Owned source (`.into_par_iter()` on `Vec` or ranges).
+/// Owned source (`.into_par_iter()` on `Vec`).
 pub struct ParVec<T: Send> {
     items: Vec<T>,
 }
@@ -401,19 +249,6 @@ impl<T: Send> ParallelIterator for ParVec<T> {
 
     fn run(self) -> Vec<T> {
         self.items
-    }
-}
-
-/// Mutable chunk source (`.par_chunks_mut(n)`).
-pub struct ParChunksMut<'data, T: Send> {
-    chunks: Vec<&'data mut [T]>,
-}
-
-impl<'data, T: Send> ParallelIterator for ParChunksMut<'data, T> {
-    type Item = &'data mut [T];
-
-    fn run(self) -> Vec<&'data mut [T]> {
-        self.chunks
     }
 }
 
@@ -433,15 +268,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 
     fn into_par_iter(self) -> ParVec<T> {
         ParVec { items: self }
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Iter = ParVec<usize>;
-    type Item = usize;
-
-    fn into_par_iter(self) -> ParVec<usize> {
-        ParVec { items: self.collect() }
     }
 }
 
@@ -473,25 +299,9 @@ impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
     }
 }
 
-/// Parallel mutable-chunk access on slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Splits into chunks of `size` (last may be shorter), processed in
-    /// parallel.
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        assert!(size > 0, "chunk size must be non-zero");
-        ParChunksMut { chunks: self.chunks_mut(size).collect() }
-    }
-}
-
 pub mod prelude {
     //! Glob-import surface mirroring `rayon::prelude`.
-    pub use super::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
-    };
+    pub use super::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
 #[cfg(test)]
@@ -507,14 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_map_matches_sequential() {
-        let v: Vec<usize> = (0..500).collect();
-        let par: Vec<usize> = v.par_iter().filter_map(|&x| (x % 3 == 0).then(|| x + 1)).collect();
-        let seq: Vec<usize> = v.iter().filter_map(|&x| (x % 3 == 0).then(|| x + 1)).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn install_controls_thread_count() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let inside = pool.install(current_num_threads);
@@ -526,26 +328,13 @@ mod tests {
         let v: Vec<u64> = (0..200).collect();
         let run = |threads| {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| v.par_iter().map(|&x| x * x).sum::<u64>())
+            pool.install(|| v.par_iter().map(|&x| x * x).collect::<Vec<u64>>())
         };
         assert_eq!(run(1), run(4));
     }
 
     #[test]
-    fn par_chunks_mut_writes_all() {
-        let mut data = vec![0u32; 103];
-        data.par_chunks_mut(10).enumerate().for_each(|(i, chunk)| {
-            for (j, x) in chunk.iter_mut().enumerate() {
-                *x = (i * 10 + j) as u32;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32));
-    }
-
-    #[test]
-    fn into_par_iter_on_range_and_vec() {
-        let s: usize = (0..100usize).into_par_iter().map(|x| x).sum();
-        assert_eq!(s, 4950);
+    fn into_par_iter_on_vec() {
         let v = vec![1usize, 2, 3];
         let out: Vec<usize> = v.into_par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![2, 3, 4]);
@@ -556,17 +345,10 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let (inner, after) = pool.install(|| {
             let inner: Vec<usize> =
-                (0..8usize).into_par_iter().map(|_| current_num_threads()).collect();
+                vec![(); 8].into_par_iter().map(|()| current_num_threads()).collect();
             (inner, current_num_threads())
         });
         assert_eq!(inner, vec![1; 8], "a call nested in a fan-out runs on its worker");
         assert_eq!(after, 4, "the caller's budget returns after the fan-out");
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string());
-        assert_eq!(a, 2);
-        assert_eq!(b, "x");
     }
 }

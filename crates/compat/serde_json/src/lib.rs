@@ -33,7 +33,7 @@ pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
 
 /// Parses JSON text into any deserializable value.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -128,9 +128,17 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Containers a document may nest, as in `serde_json`: the 128th opening
+/// bracket is an error instead of one more stack frame, so a deeply nested
+/// document (a hostile daemon frame, a corrupt file) cannot overflow the
+/// parsing thread's stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,66 +179,21 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
+            Some(b'[' | b'{') => {
+                if self.depth + 1 >= RECURSION_LIMIT {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
                 }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `]` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `}}` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
+                self.depth += 1;
+                let container = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                container
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(Error::custom(format!(
@@ -238,6 +201,63 @@ impl<'a> Parser<'a> {
                 c as char, self.pos
             ))),
             None => Err(Error::custom("unexpected end of input")),
+        }
+    }
+
+    fn parse_array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => {
+                    return Err(Error::custom(format!("expected `,` or `]` at byte {}", self.pos)))
+                }
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.parse_value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                _ => {
+                    return Err(Error::custom(format!("expected `,` or `}}` at byte {}", self.pos)))
+                }
+            }
         }
     }
 
@@ -384,6 +404,18 @@ mod tests {
         assert_eq!(v.get_field("c"), Some(&Value::Str("x".into())));
         assert!(from_str::<Value>("{\"a\": }").is_err());
         assert!(from_str::<Value>("[1, 2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT - 1)).is_ok());
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+        let objects = "{\"a\":".repeat(RECURSION_LIMIT) + "1" + &"}".repeat(RECURSION_LIMIT);
+        assert!(from_str::<Value>(&objects).is_err());
+        // far past the limit, and unterminated: an error, not a stack overflow
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

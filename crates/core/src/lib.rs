@@ -21,8 +21,10 @@
 //!   generation algorithm reduced to a [`session::SelectionStrategy`]
 //!   run by one driver, [`session::ExplainSession::explain`] — the one way
 //!   to run an explanation algorithm,
-//! * [`parallel`] — the adaptive fan-out gate every strategy's label-group
-//!   step explains its graphs through (§A.7), and batch prediction,
+//! * [`parallel`] — the one module that fans out, across graphs (§A.7):
+//!   the adaptive gate every strategy's label-group step explains its
+//!   graphs through, batch prediction, and coverage matching over a
+//!   view's subgraphs,
 //! * [`explainer`] — the [`explainer::Explainer`] trait shared with the
 //!   baseline explainers so the evaluation harness can treat every method
 //!   uniformly; [`GvexExplainer`] plugs a strategy into it.

@@ -1,4 +1,4 @@
-//! Parallel view generation (§A.7).
+//! Parallel view generation (§A.7) — the one module that fans out.
 //!
 //! Influence and diversity are computed independently per graph, so the
 //! per-graph step of every strategy parallelizes embarrassingly: each
@@ -7,14 +7,17 @@
 //! StreamGVEX's pattern merge) runs on the calling thread in member order,
 //! matching the paper's decomposition. [`crate::ExplainSession::explain`]
 //! is therefore the one driver; a caller that wants a fixed worker count
-//! installs a [`ThreadPoolBuilder`] pool around it.
+//! installs a [`ThreadPoolBuilder`] pool around it. The assigned-label pass
+//! ([`predict_all`]) and coverage matching over a view's subgraphs
+//! ([`crate::psum::coverage_stats`]) fan out per graph through the same
+//! gate. Nothing below a graph — kernels, Jacobian seed blocks, walks —
+//! fans out: those loops run on whichever worker owns the graph.
 //!
 //! Fan-outs are **adaptive**: [`run_adaptive`] estimates the workload in
-//! scalar operations and runs it sequentially when it falls below the
-//! constant `rayon::PAR_THRESHOLD` — on small databases, spawning worker
-//! threads costs more wall-clock than the explain work itself. Both
-//! branches preserve input order, so results stay bitwise identical across
-//! thread counts.
+//! scalar operations and runs it sequentially below [`PAR_THRESHOLD`] —
+//! on small databases, spawning worker threads costs more wall-clock than
+//! the explain work itself. Both branches preserve input order, so results
+//! stay bitwise identical across thread counts.
 
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDatabase};
@@ -25,13 +28,23 @@ use rayon::prelude::*;
 /// dependency can do so.
 pub use rayon::ThreadPoolBuilder;
 
-/// Cost-threshold switch for fan-outs: runs `f` over `items` sequentially
-/// on the calling thread when `estimated_ops` (a rough scalar-operation
-/// count for the whole workload) falls below the fan-out threshold or only
-/// one worker is available, and across the rayon pool otherwise, with at
-/// most as many workers as the hardware has threads. Output order equals
-/// input order in both branches, so the dispatch is invisible to callers;
-/// the `core.parallel.{sequential,parallel}` counters record which way it
+/// Estimated scalar operations below which [`run_adaptive`] keeps a
+/// region on the calling thread: roughly where spawning scoped worker
+/// threads starts to cost more than it saves, measured on the explain
+/// pipeline's fan-outs (the `explain_database` sections of
+/// `BENCH_hotpaths.json`).
+pub const PAR_THRESHOLD: usize = 1 << 18;
+
+/// Cost-threshold switch for fan-outs: runs `f` over `items` across the
+/// rayon pool when more than one worker is requested (by an installed
+/// pool or `GVEX_THREADS`), the machine has more than one hardware thread
+/// and `estimated_ops` (a rough scalar-operation count for the whole
+/// workload) clears [`PAR_THRESHOLD`]; sequentially on the calling thread
+/// otherwise. The fan-out uses at most as many workers as the hardware
+/// has threads: CPU-bound workers beyond them only add spawns and
+/// time-slicing. Output order equals input order in both branches, so the
+/// dispatch is invisible to callers; the
+/// `core.parallel.{sequential,parallel}` counters record which way it
 /// went.
 pub fn run_adaptive<T, R>(
     items: Vec<T>,
@@ -42,11 +55,11 @@ where
     T: Send,
     R: Send,
 {
-    if rayon::should_fan_out(estimated_ops) {
+    let (requested, hardware) =
+        (rayon::current_num_threads(), gvex_obs::env::default_parallelism());
+    if requested > 1 && hardware > 1 && estimated_ops >= PAR_THRESHOLD {
         gvex_obs::counter!("core.parallel.parallel");
-        // workers beyond the hardware threads only add spawns and
-        // time-slicing to CPU-bound work
-        let workers = rayon::current_num_threads().min(gvex_obs::env::default_parallelism());
+        let workers = requested.min(hardware);
         let pool = ThreadPoolBuilder::new().num_threads(workers).build().expect("pool builds");
         pool.install(|| items.into_par_iter().map(f).collect())
     } else {

@@ -7,7 +7,7 @@
 //! the classic `H_{u_l}`-approximation (Lemma 4.3).
 
 use gvex_graph::{Graph, NodeId};
-use gvex_iso::coverage::{canonical_edge, Coverage};
+use gvex_iso::coverage::{canonical_edge, covered_by_set, Coverage};
 use gvex_iso::vf2::for_each_embedding_with_index;
 use gvex_iso::{extend_embeddings, MatchIndex, MatchOptions};
 use gvex_mining::{pgen, MiningConfig, PatternCandidate};
@@ -237,7 +237,9 @@ pub fn psum(subgraphs: &[&Graph], mining: &MiningConfig, matching: MatchOptions)
 
 /// Joint coverage statistics of a pattern set over a set of subgraphs:
 /// uncovered `(subgraph index, node)` pairs and the edge-coverage loss.
-/// Used by the streaming algorithm's view assembly and by tests.
+/// Used by the streaming algorithm's view assembly and by view
+/// maintenance; the subgraphs fan out behind the
+/// [`crate::parallel::run_adaptive`] gate.
 pub fn coverage_stats(
     patterns: &[Graph],
     subgraphs: &[&Graph],
@@ -246,9 +248,14 @@ pub fn coverage_stats(
     let total_edges: usize = subgraphs.iter().map(|g| g.num_edges()).sum();
     let mut uncovered = Vec::new();
     let mut covered_edges = 0usize;
-    // match enumeration fans out across the subgraphs; the stats below fold
-    // the per-graph coverages back in subgraph order
-    let coverages = gvex_iso::coverage::covered_by_set_many(patterns, subgraphs, matching);
+    // match enumeration is independent per subgraph, so it fans out across
+    // them; the stats below fold the coverages back in subgraph order.
+    // ~ per subgraph: each pattern explores O(n²) candidate pairs before
+    // pruning; embedding enumeration beyond that is output-sensitive
+    let est = subgraphs.iter().map(|g| patterns.len() * g.num_nodes() * g.num_nodes() * 16).sum();
+    let coverages = crate::parallel::run_adaptive(subgraphs.to_vec(), est, |sg| {
+        covered_by_set(patterns, sg, matching)
+    });
     for (si, (sg, cov)) in subgraphs.iter().zip(&coverages).enumerate() {
         for v in 0..sg.num_nodes() {
             if !cov.nodes.contains(&v) {

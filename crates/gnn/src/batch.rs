@@ -35,9 +35,9 @@ use gvex_graph::{GraphDatabase, GraphRef};
 use gvex_linalg::{ops, segmented, Matrix};
 use std::sync::Arc;
 
-/// Database-wide inference chunk size: large enough that the stacked
-/// per-layer products clear the tiled kernels' parallel thresholds, small
-/// enough to keep the block-diagonal operator cache-resident.
+/// Database-wide inference chunk size: large enough that one fused
+/// forward amortizes its per-call overhead over many graphs, small enough
+/// to keep the block-diagonal operator cache-resident.
 pub const DEFAULT_BATCH: usize = 32;
 
 /// `K` graphs packed for one fused forward pass: stacked features, the

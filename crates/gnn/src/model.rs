@@ -231,8 +231,8 @@ impl GcnModel {
     }
 
     /// ~ scalar ops of one forward pass on `g`: `k` layers of a sparse
-    /// product plus a dense product against the hidden weights. The
-    /// adaptive-parallelism gates price their fan-outs with it.
+    /// product plus a dense product against the hidden weights.
+    /// `gvex_core::parallel` prices its per-graph fan-outs with it.
     pub fn forward_cost(&self, g: &Graph) -> usize {
         let h = self.cfg.hidden.max(1);
         let k = self.cfg.layers.max(1);

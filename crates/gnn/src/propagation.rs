@@ -9,7 +9,6 @@
 use gvex_graph::GraphRef;
 use gvex_linalg::backend::{KernelBackend, SimdBackend};
 use gvex_linalg::Matrix;
-use rayon::prelude::*;
 
 /// Neighborhood aggregation scheme — the message-passing variant the model
 /// uses (§2.1 notes GNN variants share the same feature-learning paradigm;
@@ -210,72 +209,6 @@ impl NormAdj {
         SimdBackend.spmm_into(&self.rows, x, out);
     }
 
-    /// Dense product `(I_B ⊗ Ã) · X`: applies `Ã` independently to each of
-    /// the `X.rows() / len()` stacked `len()`-row blocks of `X`. This is the
-    /// workhorse of the batched Jacobian, which propagates every
-    /// forward-mode seed in one call. Blocks fan out across rayon workers;
-    /// each output row has exactly one writer with a fixed accumulation
-    /// order, so results are bitwise independent of the thread count. The
-    /// per-row inner kernel accumulates neighbour contributions in
-    /// registers with `mul_add`, as [`Self::matmul`] does.
-    pub fn matmul_blocks(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_blocks_into(x, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_blocks`] writing into a caller-owned output matrix
-    /// (reshaped with its allocation reused — see [`Matrix::reset_zeroed`]).
-    ///
-    /// Each block first takes a liveness census of its input rows: rows that
-    /// are entirely zero — the overwhelming majority while a forward-mode
-    /// Jacobian seed is still inside its `l`-hop neighbourhood — are dropped
-    /// from every neighbour list before the kernel runs, and output rows
-    /// with no live neighbour are skipped outright. Skipped contributions
-    /// are exact zeros, so this changes results by at most the sign of a
-    /// zero, and the per-block censuses keep the output bitwise independent
-    /// of the rayon thread count. Blocks fan out only when the estimated
-    /// work clears the fan-out threshold ([`rayon::should_fan_out`]);
-    /// small products run on the calling thread, computing identical bits.
-    pub fn matmul_blocks_into(&self, x: &Matrix, out: &mut Matrix) {
-        let n = self.rows.len();
-        assert!(n > 0, "empty operator");
-        assert_eq!(x.rows() % n, 0, "NormAdj/block shape mismatch");
-        let cols = x.cols();
-        out.reset_zeroed(x.rows(), cols);
-        let block_len = n * cols;
-        if block_len == 0 {
-            return;
-        }
-        let src = x.as_slice();
-        let run_block = |(b, chunk): (usize, &mut [f32])| {
-            let x_block = &src[b * block_len..(b + 1) * block_len];
-            let live_in: Vec<bool> = (0..n)
-                .map(|v| x_block[v * cols..(v + 1) * cols].iter().any(|&e| e != 0.0))
-                .collect();
-            let mut filtered: Vec<(usize, f32)> = Vec::new();
-            for (u, row) in self.rows.iter().enumerate() {
-                filtered.clear();
-                filtered.extend(row.iter().filter(|&&(v, _)| live_in[v]));
-                if filtered.is_empty() {
-                    continue; // output row stays zero
-                }
-                let out_row = &mut chunk[u * cols..(u + 1) * cols];
-                SimdBackend.spmm_row(out_row, x_block, &filtered, cols);
-            }
-        };
-        // blocks × nnz × cols multiply-adds, assuming every row live
-        let nnz: usize = self.rows.iter().map(Vec::len).sum();
-        let est = (x.rows() / n) * nnz * cols;
-        if rayon::should_fan_out(est) {
-            out.as_mut_slice().par_chunks_mut(block_len).enumerate().for_each(run_block);
-        } else {
-            for pair in out.as_mut_slice().chunks_mut(block_len).enumerate() {
-                run_block(pair);
-            }
-        }
-    }
-
     /// Dense product `Ãᵀ · X`. `Ã` is symmetric whenever the edge-weight
     /// function was symmetric (always true for [`NormAdj::new`]), but the
     /// masked variant can be asymmetric, so backprop uses this explicitly.
@@ -360,25 +293,6 @@ mod tests {
         for i in 0..2 {
             for j in 0..2 {
                 assert!((sparse[(i, j)] - dense[(i, j)]).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_blocks_applies_operator_per_block() {
-        let g = edge_pair();
-        let adj = NormAdj::new(&g);
-        let top = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let bot = Matrix::from_rows(&[&[5.0, -6.0], &[0.5, 8.0]]);
-        let stacked = Matrix::from_rows(&[top.row(0), top.row(1), bot.row(0), bot.row(1)]);
-        let got = adj.matmul_blocks(&stacked);
-        let want = [adj.matmul(&top), adj.matmul(&bot)];
-        for (block, want) in want.iter().enumerate() {
-            for i in 0..2 {
-                for j in 0..2 {
-                    // FMA rounding in the chunked kernel vs. plain mul+add
-                    assert!((got[(block * 2 + i, j)] - want[(i, j)]).abs() < 1e-6);
-                }
             }
         }
     }

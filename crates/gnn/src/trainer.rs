@@ -8,7 +8,6 @@ use gvex_linalg::{Adam, Matrix};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -242,29 +241,23 @@ fn train_with_rng(
 
 /// Fraction of `indices` whose prediction matches the ground truth.
 /// Graphs are classified in block-diagonal batches of [`DEFAULT_BATCH`]
-/// (one fused forward per block); the blocks fan out across rayon workers
-/// when the split is large enough to pay for the spawns. Correct counts
-/// are order-independent, so the fan-out cannot change the result.
+/// (one fused forward per block).
 pub fn accuracy(model: &GcnModel, db: &GraphDatabase, indices: &[usize]) -> f32 {
     if indices.is_empty() {
         return 0.0;
     }
-    let est: usize = indices.iter().map(|&gi| model.forward_cost(db.graph(gi))).sum();
-    let hits = |chunk: &&[usize]| -> usize {
-        let views: Vec<GraphRef<'_>> = chunk.iter().map(|&gi| db.graph(gi).view()).collect();
-        model
-            .predict_batch(&views)
-            .into_iter()
-            .zip(chunk.iter())
-            .filter(|&(p, &gi)| p == db.truth()[gi])
-            .count()
-    };
-    let blocks: Vec<&[usize]> = indices.chunks(DEFAULT_BATCH).collect();
-    let correct: usize = if rayon::should_fan_out(est) {
-        blocks.par_iter().map(&hits).sum()
-    } else {
-        blocks.iter().map(&hits).sum()
-    };
+    let correct: usize = indices
+        .chunks(DEFAULT_BATCH)
+        .map(|chunk| {
+            let views: Vec<GraphRef<'_>> = chunk.iter().map(|&gi| db.graph(gi).view()).collect();
+            model
+                .predict_batch(&views)
+                .into_iter()
+                .zip(chunk)
+                .filter(|&(p, &gi)| p == db.truth()[gi])
+                .count()
+        })
+        .sum();
     correct as f32 / indices.len() as f32
 }
 

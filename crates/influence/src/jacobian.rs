@@ -7,7 +7,6 @@ use gvex_linalg::kernels::accumulate_row_sum;
 use gvex_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// How to estimate the expected-Jacobian influence scores.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -145,9 +144,9 @@ const SEED_BATCH: usize = 32;
 /// no zeroing of rows that stay dead. Numerically this agrees with a
 /// seed-at-a-time propagation through the scalar backend to
 /// FMA/reassociation rounding (≪ 1e-5; the differential property tests pin
-/// it against that oracle), and the result is independent of the rayon
-/// thread count (blocks are single-writer with a fixed per-row accumulation
-/// order).
+/// it against that oracle). It runs on the calling thread: the explain
+/// pipeline parallelizes across graphs (`gvex_core::parallel`), and the
+/// worker that owns a graph computes its Jacobian.
 pub fn realized<'a>(model: &GcnModel, g: impl Into<GraphRef<'a>>) -> Matrix {
     let g = g.into();
     let trace = model.forward(&g);
@@ -227,12 +226,6 @@ pub fn realized_with_trace<'a>(
 
     let mut i1 = Matrix::zeros(n, n); // i1[(v, u)] = ‖∂X_v^k/∂X_u^0‖₁
     let total_seeds = n * d;
-    // One adaptive decision for every stage of every batch: a full batch
-    // touches ~ batch · n · h² scalars per layer. Tiny graphs run all
-    // stages on the calling thread; the per-block kernels are identical
-    // either way, so the choice cannot change any bit of the result.
-    let h_max = (0..k).map(|l| model.conv_weight(l).cols()).max().unwrap_or(1);
-    let fan_out = rayon::should_fan_out(SEED_BATCH.min(total_seeds) * n * h_max * h_max * k);
     let mut first_seed = 0;
     // Three scratch matrices ping-pong across every layer of every batch,
     // reusing their allocations. Entries outside each block's hop support
@@ -241,6 +234,7 @@ pub fn realized_with_trace<'a>(
     let mut t = Matrix::zeros(0, 0);
     let mut propagated = Matrix::zeros(0, 0);
     let mut z = Matrix::zeros(0, 0);
+    let mut terms: Vec<(usize, f32)> = Vec::new();
     while first_seed < total_seeds {
         let batch = SEED_BATCH.min(total_seeds - first_seed);
         gvex_obs::counter!("influence.jacobian.seed_batches");
@@ -263,64 +257,36 @@ pub fn realized_with_trace<'a>(
             // with the reference kernel's per-element zero skip (gating
             // zeroes about half of every live row).
             z.reset_reused(batch * n, h);
-            {
-                let t_src = t.as_slice();
-                let t_cols = t.cols();
-                let dense_stage = |(b, chunk): (usize, &mut [f32])| {
-                    let mut terms: Vec<(usize, f32)> = Vec::new();
-                    for &u in &hops[layer][seed_node(b)] {
-                        let t_row = &t_src[(b * n + u) * t_cols..(b * n + u + 1) * t_cols];
-                        // gating zeroes about half of every live row; skip
-                        // the dead entries exactly like the reference kernel
-                        terms.clear();
-                        terms.extend(
-                            t_row
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &a)| a != 0.0)
-                                .map(|(kk, &a)| (kk, a)),
-                        );
-                        accumulate_row_sum(&mut chunk[u * h..(u + 1) * h], w.as_slice(), &terms, h);
-                    }
-                };
-                if fan_out {
-                    z.as_mut_slice().par_chunks_mut(n * h).enumerate().for_each(dense_stage);
-                } else {
-                    for pair in z.as_mut_slice().chunks_mut(n * h).enumerate() {
-                        dense_stage(pair);
-                    }
+            let t_cols = t.cols();
+            for (b, chunk) in z.as_mut_slice().chunks_mut(n * h).enumerate() {
+                for &u in &hops[layer][seed_node(b)] {
+                    let t_row = &t.as_slice()[(b * n + u) * t_cols..(b * n + u + 1) * t_cols];
+                    terms.clear();
+                    terms.extend(
+                        t_row
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &a)| a != 0.0)
+                            .map(|(kk, &a)| (kk, a)),
+                    );
+                    accumulate_row_sum(&mut chunk[u * h..(u + 1) * h], w.as_slice(), &terms, h);
                 }
             }
             // Sparse + gate stage: P = gate ⊙ (Ã·Z), computed only on the
             // (l+1)-hop support rows, gathering only in-support neighbours.
             propagated.reset_reused(batch * n, h);
-            {
-                let z_src = z.as_slice();
-                let gate = &gates[layer];
-                let sparse_stage = |(b, chunk): (usize, &mut [f32])| {
-                    let node = seed_node(b);
-                    let mask = &membership[layer][node];
-                    let z_block = &z_src[b * n * h..(b + 1) * n * h];
-                    let mut terms: Vec<(usize, f32)> = Vec::new();
-                    for &u in &hops[layer + 1][node] {
-                        terms.clear();
-                        terms.extend(adj.row(u).iter().filter(|&&(v, _)| mask[v]));
-                        let out_row = &mut chunk[u * h..(u + 1) * h];
-                        accumulate_row_sum(out_row, z_block, &terms, h);
-                        for (o, &gv) in out_row.iter_mut().zip(gate.row(u)) {
-                            *o *= gv;
-                        }
-                    }
-                };
-                if fan_out {
-                    propagated
-                        .as_mut_slice()
-                        .par_chunks_mut(n * h)
-                        .enumerate()
-                        .for_each(sparse_stage);
-                } else {
-                    for pair in propagated.as_mut_slice().chunks_mut(n * h).enumerate() {
-                        sparse_stage(pair);
+            let gate = &gates[layer];
+            for (b, chunk) in propagated.as_mut_slice().chunks_mut(n * h).enumerate() {
+                let node = seed_node(b);
+                let mask = &membership[layer][node];
+                let z_block = &z.as_slice()[b * n * h..(b + 1) * n * h];
+                for &u in &hops[layer + 1][node] {
+                    terms.clear();
+                    terms.extend(adj.row(u).iter().filter(|&&(v, _)| mask[v]));
+                    let out_row = &mut chunk[u * h..(u + 1) * h];
+                    accumulate_row_sum(out_row, z_block, &terms, h);
+                    for (o, &gv) in out_row.iter_mut().zip(gate.row(u)) {
+                        *o *= gv;
                     }
                 }
             }
@@ -339,14 +305,12 @@ pub fn realized_with_trace<'a>(
 
 fn monte_carlo(g: CsrGraph<'_>, k: usize, walks: u32, rng: &mut impl Rng) -> Matrix {
     let n = g.num_nodes();
-    // One independently seeded stream per source node, derived serially from
-    // the caller's RNG: source nodes then fan out across rayon workers
-    // without contending for (or reordering draws from) a shared generator,
-    // and the result is identical for any thread count.
-    let streams: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-    let walk_rows = |(v, stream): (usize, u64)| {
-        let mut rng = SmallRng::seed_from_u64(stream);
-        let mut row = vec![0.0f32; n];
+    let mut counts = Matrix::zeros(n, n);
+    for v in 0..n {
+        // One independently seeded stream per source node, drawn from the
+        // caller's RNG in node order.
+        let mut walk_rng = SmallRng::seed_from_u64(rng.next_u64());
+        let row = counts.row_mut(v);
         // Walk on the self-looped, symmetrized graph (the GCN's
         // receptive field).
         for _ in 0..walks.max(1) {
@@ -357,7 +321,7 @@ fn monte_carlo(g: CsrGraph<'_>, k: usize, walks: u32, rng: &mut impl Rng) -> Mat
                 let (mut out, mut inn) = (g.neighbors(cur), g.in_neighbors(cur));
                 let out_deg = out.len();
                 let deg = out_deg + if g.is_directed() { inn.len() } else { 0 };
-                let pick = rng.gen_range(0..=deg);
+                let pick = walk_rng.gen_range(0..=deg);
                 cur = if pick == deg {
                     cur // self loop
                 } else if pick < out_deg {
@@ -368,17 +332,6 @@ fn monte_carlo(g: CsrGraph<'_>, k: usize, walks: u32, rng: &mut impl Rng) -> Mat
             }
             row[cur] += 1.0;
         }
-        row
-    };
-    // ~ one RNG draw + one neighbor index per walk step, per source node
-    let rows: Vec<Vec<f32>> = if rayon::should_fan_out(n * walks.max(1) as usize * k * 8) {
-        streams.into_par_iter().enumerate().map(walk_rows).collect()
-    } else {
-        streams.into_iter().enumerate().map(walk_rows).collect()
-    };
-    let mut counts = Matrix::zeros(n, n);
-    for (v, row) in rows.iter().enumerate() {
-        counts.set_row(v, row);
     }
     normalize_rows(counts)
 }

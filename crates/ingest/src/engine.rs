@@ -360,9 +360,10 @@ impl IngestEngine {
 
     /// From-scratch recompute of every view over the engine's current
     /// database — the reference arm of the differential and the bench.
-    pub fn rebuilt(&mut self, threads: usize) -> ExplanationViewSet {
+    /// Runs in the caller's rayon pool (or at `GVEX_THREADS` workers).
+    pub fn rebuilt(&mut self) -> ExplanationViewSet {
         self.stats.views_recomputed += self.db.num_classes() as u64;
-        rebuild_views(&self.model, &self.db, &self.cfg, threads)
+        explain_all(&self.model, &self.db, &self.cfg)
     }
 
     fn note_patch(&mut self) {
@@ -547,11 +548,16 @@ pub fn rebuild_views(
     cfg: &Configuration,
     threads: usize,
 ) -> ExplanationViewSet {
+    let pool = ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
+    pool.install(|| explain_all(model, db, cfg))
+}
+
+/// Every class's view of `db`, explained in the current pool.
+fn explain_all(model: &GcnModel, db: &GraphDatabase, cfg: &Configuration) -> ExplanationViewSet {
     gvex_obs::counter!("ingest.views_recomputed", db.num_classes() as u64);
     let labels: Vec<usize> = (0..db.num_classes()).collect();
     let sess = ExplainSession::new(model, cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
-    let pool = ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
-    pool.install(|| sess.explain(&GreedyStrategy, db, &labels))
+    sess.explain(&GreedyStrategy, db, &labels)
 }
 
 /// Outcome of [`check_equivalent`].
@@ -758,7 +764,7 @@ mod tests {
         for op in &ops {
             eng.apply(op).expect("op applies");
         }
-        let full = eng.rebuilt(1);
+        let full = eng.rebuilt();
         let eq = check_equivalent(&eng.views_set(), &full, &cfg);
         assert!(eq.ok, "incremental != recompute: {}", eq.detail);
         assert_eq!(eng.stats().mutations_applied, 3);
@@ -779,7 +785,7 @@ mod tests {
                 assert!(s.graph_index < 12);
             }
         }
-        let full = eng.rebuilt(1);
+        let full = eng.rebuilt();
         let eq = check_equivalent(&eng.views_set(), &full, &cfg);
         assert!(eq.ok, "churn incremental != recompute: {}", eq.detail);
     }

@@ -7,10 +7,13 @@
 //!   subgraphs (the definition of a graph view),
 //! * constraint **C3** — the configurable coverage range `[b_l, u_l]`,
 //! * the `Psum` weights `w(P) = 1 − |P_{E_S}|/|E_S|` (edge-coverage loss).
+//!
+//! Everything here covers one target on the calling thread; callers that
+//! cover many targets (`gvex_core::psum::coverage_stats`) fan them out
+//! through `gvex_core::parallel`.
 
 use crate::vf2::{for_each_embedding, MatchOptions};
 use gvex_graph::{Graph, NodeId};
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
@@ -95,28 +98,6 @@ pub fn covered_by_set(patterns: &[Graph], target: &Graph, opts: MatchOptions) ->
     cov
 }
 
-/// Coverage of each of `targets` by the pattern set. Match enumeration is
-/// independent per target graph, so the targets fan out across rayon
-/// workers — when the workload clears the adaptive threshold; tiny target
-/// sets run on the calling thread. Results come back in target order
-/// regardless of thread count or dispatch.
-pub fn covered_by_set_many(
-    patterns: &[Graph],
-    targets: &[&Graph],
-    opts: MatchOptions,
-) -> Vec<Coverage> {
-    // ~ per target: each pattern explores O(n²) candidate pairs before
-    // pruning; embedding enumeration beyond that is output-sensitive
-    let est: usize =
-        targets.iter().map(|t| patterns.len() * t.num_nodes() * t.num_nodes() * 16).sum();
-    let cover = |t: &&Graph| covered_by_set(patterns, t, opts);
-    if rayon::should_fan_out(est) {
-        targets.par_iter().map(cover).collect()
-    } else {
-        targets.iter().map(cover).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,18 +144,6 @@ mod tests {
         assert_eq!(cov.edge_fraction(&target), 0.0);
         let partial = covered_by_set(&[pat_a], &target, MatchOptions::default());
         assert!(!partial.covers_all_nodes(&target));
-    }
-
-    #[test]
-    fn covered_by_set_many_matches_one_by_one() {
-        let pats = [g(&[0], &[]), g(&[0, 1], &[(0, 1)])];
-        let targets =
-            [g(&[0, 1], &[(0, 1)]), g(&[1, 1], &[(0, 1)]), g(&[0, 0, 1], &[(0, 1), (1, 2)])];
-        let refs: Vec<&Graph> = targets.iter().collect();
-        let many = covered_by_set_many(&pats, &refs, MatchOptions::default());
-        for (t, got) in targets.iter().zip(&many) {
-            assert_eq!(*got, covered_by_set(&pats, t, MatchOptions::default()));
-        }
     }
 
     #[test]

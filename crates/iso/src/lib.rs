@@ -17,9 +17,9 @@
 //!   type-candidate rows the frontier engine intersects,
 //! * [`canon`] — exact canonical codes for small patterns, the hash key the
 //!   miner buckets candidates under,
-//! * [`coverage`] — node/edge coverage of a graph by one or many patterns,
-//!   the primitive behind constraint **C1/C3** verification and the `Psum`
-//!   set-cover weights,
+//! * [`coverage`] — node/edge coverage of a graph by one pattern or a
+//!   pattern set, the primitive behind constraint **C1/C3** verification
+//!   and the `Psum` set-cover weights,
 //! * [`vf2::are_isomorphic`] — full graph isomorphism, used by the miner to
 //!   confirm canonical-bucket collisions.
 //!
@@ -32,7 +32,7 @@ pub mod index;
 pub mod vf2;
 
 pub use canon::canonical_code;
-pub use coverage::{covered, covered_by_set, covered_by_set_many, Coverage};
+pub use coverage::{covered, covered_by_set, Coverage};
 pub use index::MatchIndex;
 pub use vf2::{
     are_isomorphic, enumerate, extend_embeddings, find_one, for_each_embedding,

@@ -75,8 +75,8 @@ pub struct AdamParams {
 }
 
 /// The hot-kernel surface of the numeric stack. Orchestration (shape
-/// checks, sparsity censuses, rayon fan-out decisions) stays with the
-/// callers; implementations provide the inner arithmetic.
+/// checks, sparsity censuses) stays with the callers; implementations
+/// provide the inner arithmetic.
 pub trait KernelBackend: Send + Sync {
     /// Which kernel set this is.
     fn kind(&self) -> BackendKind;
@@ -89,7 +89,7 @@ pub trait KernelBackend: Send + Sync {
     /// with `out` reshaped to `x`'s shape and overwritten.
     fn spmm_into(&self, rows: &[Vec<(usize, f32)>], x: &Matrix, out: &mut Matrix);
 
-    /// The per-row primitive of the block-diagonal SpMM: overwrites
+    /// The per-row primitive of the sparse products: overwrites
     /// `out_row` (length `cols`) with `Σ (r, s) ∈ terms: s · src_row(r)`
     /// where `src_row(r) = src[r·cols .. (r+1)·cols]`. Empty `terms` writes
     /// zeros.

@@ -6,7 +6,6 @@
 //! the blocked multiply below — fast enough to train the paper's classifier
 //! on CPU in seconds.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -20,9 +19,6 @@ const NR: usize = 32;
 /// Output rows per micro-kernel step: an `MR × NR` f32 accumulator block
 /// stays resident in SIMD registers across an entire k-tile.
 const MR: usize = 4;
-/// Minimum multiply-accumulate count before the row-parallel path pays for
-/// its thread fan-out (~2M ≈ a 128³ product).
-const PAR_MACS_THRESHOLD: usize = 1 << 21;
 /// A live (nonzero) LHS row averaging fewer than one nonzero entry in
 /// `ELEM_SKIP_DEN` takes the exact per-element zero-skip path (one-hot
 /// feature matrices), where skipping beats vectorizing.
@@ -190,16 +186,14 @@ impl Matrix {
     /// scalar oracle's reference loops by the usual FMA rounding (≪ 1e-5
     /// relative; the differential property tests pin this). Accumulation
     /// order over `k` is the same ascending order as the reference kernel.
-    /// Above [`PAR_MACS_THRESHOLD`] multiply-accumulates the row blocks fan
-    /// out across rayon workers; each output row is still computed by exactly
-    /// one worker in the same `k` order, keeping results bitwise independent
-    /// of the thread count. The per-element zero skip of the reference kernel
-    /// is kept only where it still wins: a one-pass census classifies the
-    /// LHS, entirely-zero rows are skipped outright (forward-mode Jacobian
-    /// seed blocks are mostly dead rows), and only when the live rows are
-    /// themselves ultra-sparse (fewer than one nonzero in
-    /// [`ELEM_SKIP_DEN`] entries — one-hot feature matrices) does the exact
-    /// per-element zero-skip loop replace the micro-kernel.
+    /// The product runs on the calling thread: parallelism lives a level up,
+    /// across graphs (`gvex_core::parallel`). The per-element zero skip of
+    /// the reference kernel is kept only where it still wins: a one-pass
+    /// census classifies the LHS, entirely-zero rows are skipped outright
+    /// (forward-mode Jacobian seed blocks are mostly dead rows), and only
+    /// when the live rows are themselves ultra-sparse (fewer than one
+    /// nonzero in [`ELEM_SKIP_DEN`] entries — one-hot feature matrices)
+    /// does the exact per-element zero-skip loop replace the micro-kernel.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(rhs, &mut out);
@@ -389,8 +383,8 @@ pub(crate) fn matmul_into_scalar(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 }
 
 /// The tiled / register-blocked product behind [`Matrix::matmul_into`]
-/// and the lane kernel set: the one-pass sparsity census, mode selection,
-/// and rayon row fan-out documented on [`Matrix::matmul`], writing into
+/// and the lane kernel set: the one-pass sparsity census and mode
+/// selection documented on [`Matrix::matmul`], writing into
 /// `out` (reshaped, allocation reused). Shapes are validated by the
 /// callers.
 pub(crate) fn matmul_into_tiled(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
@@ -425,24 +419,10 @@ pub(crate) fn matmul_into_tiled(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
         LhsMode::RowSkip(_) => "linalg.matmul.dispatch.row_skip",
         LhsMode::Dense => "linalg.matmul.dispatch.dense",
     });
-    let macs = lhs.rows * lhs.cols * rhs.cols;
-    let threads = rayon::current_num_threads();
-    if macs >= PAR_MACS_THRESHOLD && threads > 1 {
-        gvex_obs::counter!("linalg.matmul.dispatch.parallel");
-        // Whole-row chunks: each worker owns a contiguous row block, so
-        // every output row has a single writer and a serial-identical
-        // accumulation order.
-        let rows_per_chunk = lhs.rows.div_ceil(threads).max(1);
-        out.data.par_chunks_mut(rows_per_chunk * rhs.cols).enumerate().for_each(|(ci, chunk)| {
-            matmul_span(lhs, rhs, ci * rows_per_chunk, chunk, mode);
-        });
-    } else {
-        matmul_span(lhs, rhs, 0, &mut out.data, mode);
-    }
+    matmul_rows(lhs, rhs, &mut out.data, mode);
 }
 
-/// Computes output rows `row0 .. row0 + out.len() / rhs.cols` of
-/// `lhs * rhs` into `out` (a whole-row slice of the output buffer).
+/// Computes `lhs * rhs` into `out`, the zeroed row-major output buffer.
 ///
 /// Walks column tiles then `k` tiles, packing each `kw × jw` RHS tile into
 /// `pack` once and streaming every computed row of the block against it.
@@ -450,13 +430,13 @@ pub(crate) fn matmul_into_tiled(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
 /// order equals the naive kernel's. Under [`LhsMode::RowSkip`] only the
 /// live rows are visited (in ascending order) — dead rows keep their
 /// zeros, exactly as the reference kernel's zero skip would leave them.
-fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: LhsMode<'_>) {
+fn matmul_rows(lhs: &Matrix, rhs: &Matrix, out: &mut [f32], mode: LhsMode<'_>) {
     let n = rhs.cols;
-    let span_rows = out.len() / n;
-    // Span-local indices of the rows to compute under row skipping; Dense
-    // and ElemSkip visit every row without materializing a list.
+    let rows = lhs.rows;
+    // Indices of the rows to compute under row skipping; Dense and
+    // ElemSkip visit every row without materializing a list.
     let live: Vec<usize> = match mode {
-        LhsMode::RowSkip(mask) => (0..span_rows).filter(|&i| mask[row0 + i]).collect(),
+        LhsMode::RowSkip(mask) => (0..rows).filter(|&i| mask[i]).collect(),
         _ => Vec::new(),
     };
     let row_skip = matches!(mode, LhsMode::RowSkip(_));
@@ -490,7 +470,7 @@ fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: L
                             let b_row: &[f32; NR] =
                                 pack[kk * NR..kk * NR + NR].try_into().expect("NR-wide tile row");
                             for (acc_row, &ri) in acc.iter_mut().zip(rows) {
-                                let a = lhs.data[(row0 + ri) * lhs.cols + k0 + kk];
+                                let a = lhs.data[ri * lhs.cols + k0 + kk];
                                 for (o, &b) in acc_row.iter_mut().zip(b_row) {
                                     *o = a.mul_add(b, *o);
                                 }
@@ -503,7 +483,7 @@ fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: L
                         pos += MR;
                     }
                 } else {
-                    while pos + MR <= span_rows {
+                    while pos + MR <= rows {
                         let mut acc = [[0.0f32; NR]; MR];
                         for (r, acc_row) in acc.iter_mut().enumerate() {
                             let o = (pos + r) * n + j0;
@@ -513,7 +493,7 @@ fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: L
                             let b_row: &[f32; NR] =
                                 pack[kk * NR..kk * NR + NR].try_into().expect("NR-wide tile row");
                             for (r, acc_row) in acc.iter_mut().enumerate() {
-                                let a = lhs.data[(row0 + pos + r) * lhs.cols + k0 + kk];
+                                let a = lhs.data[(pos + r) * lhs.cols + k0 + kk];
                                 for (o, &b) in acc_row.iter_mut().zip(b_row) {
                                     *o = a.mul_add(b, *o);
                                 }
@@ -530,7 +510,7 @@ fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: L
             // Remainder rows, ragged right edge, and the element-skip path
             // all take the straightforward row-at-a-time loop.
             let scalar_row = |ri: usize, out: &mut [f32], pack: &[f32]| {
-                let a_base = (row0 + ri) * lhs.cols + k0;
+                let a_base = ri * lhs.cols + k0;
                 let a_row = &lhs.data[a_base..a_base + kw];
                 let out_row = &mut out[ri * n + j0..ri * n + j0 + jw];
                 if elem_skip {
@@ -557,7 +537,7 @@ fn matmul_span(lhs: &Matrix, rhs: &Matrix, row0: usize, out: &mut [f32], mode: L
                     scalar_row(ri, out, &pack);
                 }
             } else {
-                for ri in pos..span_rows {
+                for ri in pos..rows {
                     scalar_row(ri, out, &pack);
                 }
             }
@@ -740,7 +720,9 @@ mod tests {
 
     #[test]
     fn tiled_matmul_matches_reference_on_odd_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 7, 5), (65, 64, 63), (70, 130, 67), (128, 1, 9)] {
+        for &(m, k, n) in
+            &[(1, 1, 1), (3, 7, 5), (65, 64, 63), (70, 130, 67), (128, 1, 9), (160, 160, 160)]
+        {
             let a = lcg_matrix(m, k, 7, 3);
             let b = lcg_matrix(k, n, 13, 0);
             let tiled = a.matmul(&b);
@@ -752,20 +734,6 @@ mod tests {
                 "tiled kernel diverged from reference at {m}x{k}x{n}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_matmul_matches_serial_bitwise() {
-        // large enough to cross PAR_MACS_THRESHOLD
-        let a = lcg_matrix(160, 160, 21, 0);
-        let b = lcg_matrix(160, 160, 43, 0);
-        let wide = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let par = wide.install(|| a.matmul(&b));
-        let narrow = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let ser = narrow.install(|| a.matmul(&b));
-        // identical code path per row regardless of worker count
-        assert_eq!(par, ser);
-        assert!(max_diff(&par, &scalar_matmul(&a, &b)) < 1e-5);
     }
 
     #[test]

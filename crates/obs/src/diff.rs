@@ -209,8 +209,14 @@ pub(crate) use json::Value;
 
 /// A minimal recursive-descent JSON reader, sized for gvex's own reports
 /// (objects, arrays, strings with the escapes the writer emits, numbers,
-/// booleans, null). Not a general-purpose validator.
+/// booleans, null). Not a general-purpose validator. Nesting stops at
+/// [`json::MAX_DEPTH`], so a corrupt or hostile file is an error, not a
+/// stack overflow.
 mod json {
+    /// Containers a document may nest: the `MAX_DEPTH`-th opening bracket
+    /// is an error, the limit `serde_json` applies by default.
+    pub(crate) const MAX_DEPTH: usize = 128;
+
     /// A parsed JSON value.
     #[derive(Clone, Debug, PartialEq)]
     pub(crate) enum Value {
@@ -263,7 +269,7 @@ mod json {
 
     /// Parses one JSON document (trailing whitespace allowed).
     pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let mut p = Parser { b: text.as_bytes(), i: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -276,6 +282,8 @@ mod json {
     struct Parser<'a> {
         b: &'a [u8],
         i: usize,
+        /// Containers open around the cursor.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -310,8 +318,7 @@ mod json {
         fn value(&mut self) -> Result<Value, String> {
             self.skip_ws();
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{' | b'[') => self.nested(),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
                 Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -319,6 +326,16 @@ mod json {
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
                 other => Err(format!("unexpected {other:?} at byte {}", self.i)),
             }
+        }
+
+        fn nested(&mut self) -> Result<Value, String> {
+            if self.depth + 1 >= MAX_DEPTH {
+                return Err(format!("recursion limit exceeded at byte {}", self.i));
+            }
+            self.depth += 1;
+            let v = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+            self.depth -= 1;
+            v
         }
 
         fn object(&mut self) -> Result<Value, String> {
@@ -524,6 +541,18 @@ mod tests {
         new.spans.remove("explain_db");
         new.counters.remove("gnn.trace_cache.hits");
         assert!(compare(&old, &new, &Thresholds::default()).is_empty());
+    }
+
+    #[test]
+    fn nesting_stops_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(json::parse(&nested(json::MAX_DEPTH - 1)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH)).unwrap_err();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+        let objects = r#"{"a":"#.repeat(json::MAX_DEPTH) + "1" + &"}".repeat(json::MAX_DEPTH);
+        assert!(json::parse(&objects).is_err());
+        // far past the limit: a typed parse error, not a stack overflow
+        assert!(parse_report(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn usage() -> ! {
                   [--seed <u64>] [--profile <localized|churn>]: synthesize a\n\
                   replayable mutation log against a built store\n\
                   replay --db <file.gvex> --mutations <file.jsonl>\n\
-                  [--upper <n>] [--epoch-interval <n>] [--threads <n>]\n\
+                  [--upper <n>] [--epoch-interval <n>]\n\
                   [--snapshot-out <file.gvex>] [--verify]: apply the log\n\
                   with incremental view maintenance; --verify diffs the\n\
                   result against a full recompute, --snapshot-out writes\n\
@@ -123,10 +123,9 @@ fn accepted_flags(command: &str) -> Vec<&'static str> {
             &[],
         ),
         "ingest gen" => (&["db", "out", "count", "seed", "profile"], &[]),
-        "ingest replay" => (
-            &["db", "mutations", "upper", "epoch-interval", "threads", "snapshot-out", "verify"],
-            &[],
-        ),
+        "ingest replay" => {
+            (&["db", "mutations", "upper", "epoch-interval", "snapshot-out", "verify"], &[])
+        }
         "ingest send" => (&["addr", "mutations", "batch", "upper", "commit"], &[]),
         "db build" => (&["out", "upper", "stream", "no-views"], &[DATASET_FLAGS, TRAIN_FLAGS]),
         _ => usage(),
@@ -550,7 +549,6 @@ fn cmd_ingest_replay(flags: &HashMap<String, String>) {
     let log_path = flags.get("mutations").unwrap_or_else(|| usage());
     let upper = upper_flag(flags);
     let interval = flag(flags, "epoch-interval", 8usize).max(1);
-    let threads = flag(flags, "threads", 1usize).max(1);
     let store = open_store(db_path);
     let db = store.database();
     let model = store.model();
@@ -562,7 +560,8 @@ fn cmd_ingest_replay(flags: &HashMap<String, String>) {
         }),
         None => {
             eprintln!("store has no views; mining them first (upper {upper})");
-            gvex::ingest::rebuild_views(&model, &db, &cfg, threads)
+            // 0 workers: the default count, `GVEX_THREADS` or the machine's
+            gvex::ingest::rebuild_views(&model, &db, &cfg, 0)
         }
     };
     let meta = store.meta();
@@ -607,7 +606,7 @@ fn cmd_ingest_replay(flags: &HashMap<String, String>) {
     }
     let elapsed = t0.elapsed();
     if flags.contains_key("verify") {
-        let full = engine.rebuilt(threads);
+        let full = engine.rebuilt();
         let eq = gvex::ingest::check_equivalent(&engine.views_set(), &full, engine.cfg());
         if eq.ok {
             println!("verify: incremental views equivalent to full recompute");

@@ -38,6 +38,10 @@ fn malformed_numeric_flags_exit_2_naming_the_flag() {
         ),
         (vec!["ingest", "replay", "--db", scratch, "--mutations", scratch, "--verfy"], "--verfy"),
         (vec!["ingest", "gen", "--db", scratch, "--out", scratch, "--threads", "2"], "--threads"),
+        (
+            vec!["ingest", "replay", "--db", scratch, "--mutations", scratch, "--threads", "2"],
+            "--threads",
+        ),
         (vec!["serve", "--db", scratch, "--cache-shards", "2"], "--cache-shards"),
         (vec!["request", "--addr", "127.0.0.1:9", "--kind", "ping", "--comit"], "--comit"),
     ];

@@ -1,7 +1,7 @@
 //! Thread-count determinism of the parallel explain pipeline.
 //!
-//! The rayon fan-out across a label group's graphs and across Jacobian
-//! seed blocks is structured so every output has exactly one writer with a
+//! The fan-out across a label group's graphs (`gvex_core::parallel`, the
+//! one module that fans out) gives every output exactly one writer with a
 //! fixed accumulation order. These tests pin the consequence: the
 //! explanation views (and the realized influence matrix underneath them)
 //! are **bitwise identical** whether the pipeline runs in a 1-thread or a
@@ -56,7 +56,7 @@ fn toy_database() -> GraphDatabase {
 }
 
 /// 4 + 4 graphs of 42 nodes: every split into assigned-label groups leaves
-/// a group whose explain estimate clears `rayon::PAR_THRESHOLD`.
+/// a group whose explain estimate clears `gvex_core::parallel::PAR_THRESHOLD`.
 fn fanout_database() -> GraphDatabase {
     let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
     for _ in 0..4 {

@@ -46,7 +46,7 @@ fn plain_graph(chain: usize) -> Graph {
 
 /// 4 + 4 graphs of 42 nodes: any split of them into assigned-label groups
 /// leaves a group of at least 4, priced at 4·42³ ≈ 3·10⁵ scalar ops, above
-/// `rayon::PAR_THRESHOLD` (2¹⁸).
+/// `gvex_core::parallel::PAR_THRESHOLD` (2¹⁸).
 fn fanout_database() -> GraphDatabase {
     let mut db = GraphDatabase::new(vec!["plain".into(), "motif".into()]);
     for _ in 0..4 {

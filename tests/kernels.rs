@@ -112,27 +112,6 @@ fn sparse_products_match_oracle() {
             oracle().spmm_transpose_into(&rows_of(&masked), &x, &mut want);
             let d = max_diff(masked.matmul_transpose(&x).as_slice(), want.as_slice());
             assert!(d < 1e-5, "transposed spmm n={n} cols={cols}: {d:e}");
-
-            // block product over stacked Jacobian-seed-like blocks: mostly
-            // dead rows, one block entirely zero
-            let blocks = 3;
-            let mut stacked = random_matrix(&mut rng, blocks * n, cols, 0.7);
-            for r in 0..n {
-                stacked.row_mut(r).fill(0.0);
-            }
-            let got = adj.matmul_blocks(&stacked);
-            for b in 0..blocks {
-                let block = Matrix::from_vec(
-                    n,
-                    cols,
-                    stacked.as_slice()[b * n * cols..(b + 1) * n * cols].to_vec(),
-                );
-                let mut want = Matrix::zeros(0, 0);
-                oracle().spmm_into(&rows_of(&adj), &block, &mut want);
-                let d =
-                    max_diff(&got.as_slice()[b * n * cols..(b + 1) * n * cols], want.as_slice());
-                assert!(d < 1e-5, "block spmm n={n} cols={cols} block {b}: {d:e}");
-            }
         }
         parts.push(NormAdj::new(g));
     }
